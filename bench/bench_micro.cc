@@ -23,7 +23,6 @@
 #include "src/obs/metrics.h"
 #include "src/paxos/journal.h"
 #include "src/paxos/messages.h"
-#include "src/paxos/payload_codec.h"
 #include "src/ring/ring_map.h"
 #include "src/sim/simulator.h"
 #include "src/storage/sim_disk.h"
@@ -31,9 +30,7 @@
 #include "src/store/kv_store.h"
 #include "src/verify/linearizability.h"
 #include "src/wire/buffer.h"
-#include "src/wire/buffer_pool.h"
 #include "src/wire/codec.h"
-#include "src/wire/frame_view.h"
 #include "src/wire/serializing_network.h"
 
 namespace scatter {
@@ -241,66 +238,28 @@ paxos::AcceptMsg MakeBatchedAccept(uint64_t entries) {
   return msg;
 }
 
-// Scatter-gather encode in isolation: the same N-entry batched Accept
-// encoded into pooled buffers over and over, the shape of ReplicateTo
-// fanning one batch out to peers and retransmitting. After the first
-// iteration every command's canonical bytes come from its wire memo, so
-// steady state measures header+metadata writes plus one memcpy per command.
-// Counters (from the obs-side pool stats and the payload-codec memo stats):
-//   allocs_per_op      fresh buffer allocations per encode (pool misses)
-//   memo_bytes_per_op  payload bytes served from memos instead of re-encoded
-//   bytes_per_op       total frame bytes produced per encode
+// Batched encode in isolation: the same N-entry batched Accept encoded over
+// and over, each time into a fresh Buffer reserved to the message's size
+// estimate — what the serializing transport does per delivery when
+// ReplicateTo fans one batch out to peers.
+// Counter: bytes_per_op, total frame bytes produced per encode.
 void BM_WireEncodeBatched(benchmark::State& state) {
   core::RegisterScatterWireCodecs();
   paxos::AcceptMsg msg = MakeBatchedAccept(static_cast<uint64_t>(state.range(0)));
-  wire::BufferPool pool{wire::BufferPool::Config{.enabled = true,
-                                                 .max_buffers_per_class = 4}};
-  const paxos::PayloadEncodeStats before = paxos::GetPayloadEncodeStats();
-  const uint64_t misses_before = pool.misses();
   uint64_t bytes = 0;
   for (auto _ : state) {
-    wire::BufferPool::Handle frame = pool.Acquire(msg.ByteSize() + 64);
-    wire::EncodeFrame(msg, *frame);
+    wire::Buffer frame;
+    frame.Reserve(msg.ByteSize() + 64);
+    wire::EncodeFrame(msg, frame);
     bytes += frame.size();
     benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
   }
-  const paxos::PayloadEncodeStats after = paxos::GetPayloadEncodeStats();
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["allocs_per_op"] =
-      static_cast<double>(pool.misses() - misses_before) / iters;
-  state.counters["memo_bytes_per_op"] =
-      static_cast<double>(after.memo_bytes_reused - before.memo_bytes_reused) /
-      iters;
-  state.counters["bytes_per_op"] = static_cast<double>(bytes) / iters;
+  state.counters["bytes_per_op"] =
+      static_cast<double>(bytes) / static_cast<double>(state.iterations());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WireEncodeBatched)->Arg(1)->Arg(8)->Arg(64);
-
-// Lazy decode in isolation on the same batched Accept frame. Arg 0: header
-// peek only (what routing/tracing/frame-compare consumers pay under
-// FrameView). Arg 1: peek + materialize (the full decode a handler-bound
-// delivery pays). The spread between the two is the cost lazy decode avoids
-// for frames whose payload is never inspected.
-void BM_WireDecodeLazy(benchmark::State& state) {
-  core::RegisterScatterWireCodecs();
-  const bool materialize = state.range(0) != 0;
-  paxos::AcceptMsg msg = MakeBatchedAccept(8);
-  wire::Buffer frame;
-  wire::EncodeFrame(msg, frame);
-  for (auto _ : state) {
-    wire::FrameView view;
-    const bool ok = view.Parse(frame.data(), frame.size());
-    benchmark::DoNotOptimize(ok);
-    benchmark::DoNotOptimize(view.to());
-    if (materialize) {
-      benchmark::DoNotOptimize(view.Materialize());
-    }
-  }
-  state.counters["payload_bytes"] = static_cast<double>(frame.size());
-  state.SetLabel(materialize ? "peek+materialize" : "peek");
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_WireDecodeLazy)->Arg(0)->Arg(1);
 
 // Transport A/B on the full commit path: identical seeded cluster and
 // closed-loop put workload (concurrency 8), carried either by the zero-copy
@@ -337,10 +296,6 @@ void BM_TransportCommit(benchmark::State& state) {
         static_cast<double>(ser->frames_serialized()) / iters;
     state.counters["wire_bytes_per_op"] =
         static_cast<double>(ser->bytes_serialized()) / iters;
-    const auto& pool = ser->buffer_pool();
-    state.counters["pool_hit_rate"] =
-        static_cast<double>(pool.hits()) /
-        static_cast<double>(pool.hits() + pool.misses());
   }
   state.SetLabel(cluster.net().transport_name());
 }

@@ -265,8 +265,7 @@ def check_timeline(path):
     node_rows = 0
     prev_ts = None
     rate_keys_group = ("ops_per_sec", "bytes_per_sec", "commits_per_sec")
-    rate_keys_node = ("frames_per_sec", "wire_bytes_per_sec",
-                      "pool_miss_per_sec")
+    rate_keys_node = ("frames_per_sec", "wire_bytes_per_sec")
     for snap in snapshots:
         for key in ("ts_us", "groups", "nodes"):
             if key not in snap:

@@ -5,7 +5,6 @@
 #include "src/common/logging.h"
 #include "src/core/wire_codecs.h"
 #include "src/storage/persist_env.h"
-#include "src/wire/buffer_pool.h"
 #include "src/wire/transport_factory.h"
 
 namespace scatter::core {
@@ -40,13 +39,7 @@ Cluster::Cluster(const ClusterConfig& config)
   // Enable monitoring before any node exists so the first window boundary
   // is the same whether or not bootstrap is still settling.
   if (cfg_.enable_health_monitor) {
-    obs::HealthConfig health = cfg_.health;
-    // With SCATTER_WIRE_POOL=off every frame acquire is a miss by design;
-    // the spike detector would fire on healthy load.
-    if (!wire::WirePoolEnabledFromEnv()) {
-      health.pool_miss_spike_enabled = false;
-    }
-    sim_.EnableHealthMonitor(health);
+    sim_.EnableHealthMonitor(cfg_.health);
   }
   if (cfg_.enable_timeline) {
     sim_.EnableTimeline(cfg_.timeline);

@@ -133,14 +133,16 @@ class ScatterNode : public rpc::RpcNode,
   struct Hosted {
     // Destruction order matters (reverse of declaration): the replica goes
     // first — its teardown fails pending proposals, and those callbacks
-    // (including the driver's own) may touch both the driver and the state
-    // machine — then the driver, then the state machine.
-    std::unique_ptr<membership::GroupStateMachine> sm;
-    std::unique_ptr<txn::GroupOpDriver> driver;
-    std::unique_ptr<paxos::Replica> replica;
+    // (including the driver's own) may touch the driver, the state machine
+    // and the load stats — then the driver, then the state machine, then
+    // the load stats.
+    //
     // Windowed op/byte/sub-range accounting in the metrics registry; the
     // range is re-pointed on every structural change.
     std::unique_ptr<store::GroupLoadStats> load;
+    std::unique_ptr<membership::GroupStateMachine> sm;
+    std::unique_ptr<txn::GroupOpDriver> driver;
+    std::unique_ptr<paxos::Replica> replica;
     bool teardown_scheduled = false;
     TimeMicros last_neighbor_refresh = 0;
     // Load tracking for the policy engine (leader only): ops served in the

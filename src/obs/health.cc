@@ -10,7 +10,6 @@ const char kFollowerLag[] = "follower_lag";
 const char kStalledProposer[] = "stalled_proposer";
 const char kElectionChurn[] = "election_churn";
 const char kSnapshotStuck[] = "snapshot_stuck";
-const char kPoolMissSpike[] = "pool_miss_spike";
 const char kRecoveryStuck[] = "recovery_stuck";
 
 }  // namespace
@@ -31,7 +30,6 @@ void HealthMonitor::Tick(int64_t now_us, TraceRecorder* tracer) {
   CheckStalledProposer(now_us, tracer);
   CheckElectionChurn(now_us, tracer);
   CheckSnapshotStuck(now_us, tracer);
-  CheckPoolMissSpike(now_us, tracer);
   CheckRecoveryStuck(now_us, tracer);
 }
 
@@ -128,19 +126,6 @@ void HealthMonitor::CheckSnapshotStuck(int64_t now_us, TraceRecorder* tracer) {
       [&](NodeId node, GroupId group, const Gauge& gauge) {
         Observe(kSnapshotStuck, config_.snapshot_stuck, node, group,
                 gauge.value > 0, now_us, tracer);
-      });
-}
-
-void HealthMonitor::CheckPoolMissSpike(int64_t now_us, TraceRecorder* tracer) {
-  if (!config_.pool_miss_spike_enabled) {
-    return;
-  }
-  registry_->ForEachCounter(
-      "wire.pool.miss", [&](NodeId node, GroupId group, const Counter& counter) {
-        const uint64_t delta =
-            Delta("wire.pool.miss", node, group, counter.value);
-        Observe(kPoolMissSpike, config_.pool_miss_spike, node, group,
-                delta >= config_.pool_miss_threshold, now_us, tracer);
       });
 }
 

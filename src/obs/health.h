@@ -25,7 +25,6 @@
 //                    entries_committed delta this window
 //   election_churn   elections_started delta >= churn_elections in a window
 //   snapshot_stuck   snapshots_inflight > 0 for raise_after windows
-//   pool_miss_spike  wire.pool.miss delta >= pool_miss_threshold in a window
 //   recovery_stuck   recovery.active > 0 for raise_after windows (WAL
 //                    replay on restart is synchronous, so a lingering
 //                    nonzero gauge means a recovery path wedged or leaked)
@@ -60,12 +59,6 @@ struct HealthConfig {
   int64_t lag_entries = 64;
   // election_churn: elections started within one window to count as churn.
   uint64_t churn_elections = 3;
-  // pool_miss_spike: pool misses on one node within one window. When the
-  // frame-buffer pool is administratively disabled (SCATTER_WIRE_POOL=off)
-  // every acquire counts as a miss by design, so the owner enabling the
-  // monitor clears this flag instead of letting the detector cry wolf.
-  uint64_t pool_miss_threshold = 256;
-  bool pool_miss_spike_enabled = true;
 
   // Hysteresis, in consecutive windows. raise_after=1 means "raises within
   // one monitoring window of the signal appearing".
@@ -81,7 +74,6 @@ struct HealthConfig {
   // In-flight snapshots are normal; only a transfer pinned across several
   // windows is stuck.
   Hysteresis snapshot_stuck{4, 1};
-  Hysteresis pool_miss_spike{1, 2};
   Hysteresis recovery_stuck{4, 1};
 };
 
@@ -143,7 +135,6 @@ class HealthMonitor {
   void CheckStalledProposer(int64_t now_us, TraceRecorder* tracer);
   void CheckElectionChurn(int64_t now_us, TraceRecorder* tracer);
   void CheckSnapshotStuck(int64_t now_us, TraceRecorder* tracer);
-  void CheckPoolMissSpike(int64_t now_us, TraceRecorder* tracer);
   void CheckRecoveryStuck(int64_t now_us, TraceRecorder* tracer);
 
   HealthConfig config_;

@@ -382,11 +382,6 @@ void TimelineRecorder::Capture(int64_t now_us, TraceRecorder* tracer) {
         node_row(node).wire_bytes_per_sec =
             delta_of("wire.bytes_serialized", node, c.value);
       });
-  registry_->ForEachCounter(
-      "wire.pool.miss", [&](NodeId node, GroupId, const Counter& c) {
-        node_row(node).pool_miss_per_sec =
-            delta_of("wire.pool.miss", node, c.value);
-      });
   for (auto& [node, row] : nodes) {
     if (monitor_ != nullptr) row.health = monitor_->ActiveFor(node, 0);
     snap.nodes.push_back(std::move(row));
@@ -443,8 +438,6 @@ std::string TimelineRecorder::Serialize(
       AppendDouble(&out, "frames_per_sec", row.frames_per_sec);
       out += ",";
       AppendDouble(&out, "wire_bytes_per_sec", row.wire_bytes_per_sec);
-      out += ",";
-      AppendDouble(&out, "pool_miss_per_sec", row.pool_miss_per_sec);
       out += ",";
       AppendHealth(&out, row.health);
       out += "}";
@@ -509,7 +502,6 @@ bool TimelineRecorder::Parse(const std::string& json, Parsed* out) {
       if (!ReadI64(jrow, "node", &node) ||
           !ReadNumber(jrow, "frames_per_sec", &row.frames_per_sec) ||
           !ReadNumber(jrow, "wire_bytes_per_sec", &row.wire_bytes_per_sec) ||
-          !ReadNumber(jrow, "pool_miss_per_sec", &row.pool_miss_per_sec) ||
           !ReadHealth(jrow, &row.health)) {
         return false;
       }

@@ -53,7 +53,6 @@ class TimelineRecorder {
     NodeId node = 0;
     double frames_per_sec = 0;     // wire.frames_serialized delta rate
     double wire_bytes_per_sec = 0; // wire.bytes_serialized delta rate
-    double pool_miss_per_sec = 0;  // wire.pool.miss delta rate
     std::vector<std::string> health;  // node-scoped (group 0) conditions
   };
 

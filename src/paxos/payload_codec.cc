@@ -40,39 +40,7 @@ Registry& registry() {
   return *r;
 }
 
-PayloadEncodeStats& stats() {
-  static PayloadEncodeStats s;
-  return s;
-}
-
-// Caches the canonical bytes [start, end) of `out` on the payload object.
-// Called only on the encode side: decoded copies never carry a memo, so the
-// audit transport's decode→re-encode stability check always runs the real
-// encoders on fresh objects.
-template <typename Payload>
-void FillMemo(const Payload& payload, const wire::Buffer& out, size_t start) {
-  payload.wire_memo = std::make_shared<const std::vector<uint8_t>>(
-      out.data() + start, out.data() + out.size());
-  ++stats().memo_fills;
-}
-
-// Appends the cached canonical bytes. Immutability of the payload object
-// plus canonical encoding make this byte-identical to re-running the
-// encoder.
-template <typename Payload>
-bool AppendMemo(const Payload& payload, wire::Buffer& out) {
-  if (payload.wire_memo == nullptr) {
-    return false;
-  }
-  out.WriteBytes(payload.wire_memo->data(), payload.wire_memo->size());
-  ++stats().memo_hits;
-  stats().memo_bytes_reused += payload.wire_memo->size();
-  return true;
-}
-
 }  // namespace
-
-PayloadEncodeStats GetPayloadEncodeStats() { return stats(); }
 
 void RegisterCommandCodec(uint16_t tag, std::type_index type,
                           CommandEncodeFn encode, CommandDecodeFn decode) {
@@ -92,18 +60,13 @@ void EncodeCommand(const CommandPtr& cmd, wire::Buffer& out) {
     out.WriteU16(0);
     return;
   }
-  if (AppendMemo(*cmd, out)) {
-    return;
-  }
   auto it = registry().commands_by_type.find(std::type_index(typeid(*cmd)));
   if (it == registry().commands_by_type.end()) {
     CodecFailure(std::string("no wire codec registered for command type ") +
                  typeid(*cmd).name());
   }
-  const size_t start = out.size();
   out.WriteU16(it->second.tag);
   it->second.encode(*cmd, out);
-  FillMemo(*cmd, out, start);
 }
 
 CommandPtr DecodeCommand(wire::Reader& in) {
@@ -137,18 +100,13 @@ void EncodeSnapshot(const SnapshotPtr& snap, wire::Buffer& out) {
     out.WriteU16(0);
     return;
   }
-  if (AppendMemo(*snap, out)) {
-    return;
-  }
   auto it = registry().snapshots_by_type.find(std::type_index(typeid(*snap)));
   if (it == registry().snapshots_by_type.end()) {
     CodecFailure(std::string("no wire codec registered for snapshot type ") +
                  typeid(*snap).name());
   }
-  const size_t start = out.size();
   out.WriteU16(it->second.tag);
   it->second.encode(*snap, out);
-  FillMemo(*snap, out, start);
 }
 
 SnapshotPtr DecodeSnapshot(wire::Reader& in) {

@@ -45,18 +45,6 @@ void RegisterSnapshotCodec(uint16_t tag, std::type_index type,
 void EncodeSnapshot(const SnapshotPtr& snap, wire::Buffer& out);
 SnapshotPtr DecodeSnapshot(wire::Reader& in);
 
-// Cumulative process-wide encode-memo statistics (benches and tests snapshot
-// before/after and compare deltas). A "fill" runs the real per-type encoder
-// and caches the bytes on the payload object; a "hit" appends the cached
-// bytes with one copy. memo_bytes_reused counts the bytes served from memos
-// — each one a byte the per-type encoder did NOT re-produce.
-struct PayloadEncodeStats {
-  uint64_t memo_fills = 0;
-  uint64_t memo_hits = 0;
-  uint64_t memo_bytes_reused = 0;
-};
-PayloadEncodeStats GetPayloadEncodeStats();
-
 }  // namespace scatter::paxos
 
 #endif  // SCATTER_SRC_PAXOS_PAYLOAD_CODEC_H_

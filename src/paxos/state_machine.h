@@ -21,11 +21,6 @@ struct SnapshotData {
   // Approximate serialized size (feeds the network bandwidth model when a
   // snapshot ships to a joiner).
   virtual size_t ByteSize() const { return 64; }
-
-  // Canonical wire bytes, filled by EncodeSnapshot on first serialization
-  // and reused for every later install of the same (immutable) snapshot —
-  // same encode-side-only memo discipline as Command::wire_memo.
-  mutable std::shared_ptr<const std::vector<uint8_t>> wire_memo;
 };
 
 using SnapshotPtr = std::shared_ptr<const SnapshotData>;

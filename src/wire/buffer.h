@@ -10,14 +10,17 @@
 // on the encode hot path is one capacity branch and an unchecked store,
 // with no value-initialization of bytes that are about to be overwritten.
 // Under AddressSanitizer the unwritten tail [size, capacity) is manually
-// poisoned (mirroring libstdc++'s container annotations), so a stale
-// pointer into a pooled, recycled buffer faults instead of silently
-// reading the next tenant's bytes.
+// poisoned (mirroring libstdc++'s container annotations), so a read past
+// the written bytes, or through a pointer kept across clear(), faults
+// instead of silently reading stale bytes.
 //
 // Reader is a bounds-checked cursor over an immutable byte span. A short or
 // malformed read flips a sticky failure flag instead of crashing: decoders
 // run to completion on garbage input and the frame decoder rejects the
 // message afterwards, which is what the fuzz tests rely on.
+//
+// Thread-compat: thread-compatible. Neither class has shared state; each
+// buffer and cursor has one owner at a time.
 
 #ifndef SCATTER_SRC_WIRE_BUFFER_H_
 #define SCATTER_SRC_WIRE_BUFFER_H_
@@ -27,6 +30,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "src/common/logging.h"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer)
@@ -68,9 +73,8 @@ inline void AsanUnpoison(const void* p, size_t n) {
 class Buffer {
  public:
   Buffer() = default;
-  // Buffers are written in place and shared by reference (or pooled via
-  // BufferPool); an accidental copy of frame bytes is a hot-path bug, so
-  // copies don't compile.
+  // Buffers are written in place and shared by reference; an accidental
+  // copy of frame bytes is a hot-path bug, so copies don't compile.
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;
   ~Buffer() {
@@ -122,23 +126,13 @@ class Buffer {
   }
 
   // Grows the backing store up front so a burst of writes doesn't reallocate
-  // mid-frame. Pooled buffers (buffer_pool.h) keep their grown capacity
-  // across acquire/release cycles, which is what makes reuse pay.
+  // mid-frame.
   void Reserve(size_t capacity) {
     if (capacity > cap_) {
       Reallocate(capacity);
     }
   }
   size_t capacity() const { return cap_; }
-
-  // Overwrites the current contents with `fill` (the pool poisons released
-  // buffers in debug/sanitized builds so a stale pointer reads a recognizable
-  // pattern instead of the previous frame).
-  void Poison(uint8_t fill) {
-    if (size_ != 0) {
-      std::memset(bytes_, fill, size_);
-    }
-  }
 
   // Materialized copy of the contents; for tests and diagnostics, not the
   // hot path.
@@ -174,6 +168,7 @@ class Buffer {
 
   void Reallocate(size_t cap) {
     auto* grown = static_cast<uint8_t*>(std::malloc(cap));
+    SCATTER_CHECK(grown != nullptr);
     if (size_ != 0) {
       std::memcpy(grown, bytes_, size_);
     }

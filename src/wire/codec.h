@@ -35,6 +35,11 @@ namespace scatter::wire {
 
 inline constexpr uint16_t kWireVersion = 1;
 
+// Bytes between the length prefix and the payload: version, type, from, to,
+// rpc_id, flags, trace_id, span_id.
+inline constexpr size_t kFrameHeaderSize =
+    2 + 2 + 8 + 8 + 8 + 1 + 8 + 8;  // = 45
+
 // Fixed byte offsets inside a frame (after the u32 length prefix).
 inline constexpr size_t kFrameToOffset = 2 + 2 + 8;  // version, type, from
 inline constexpr size_t kFrameToSize = 8;
@@ -76,22 +81,6 @@ sim::MessagePtr DecodeFrame(const uint8_t* data, size_t size,
 // core::RegisterScatterWireCodecs() aggregates the full Scatter stack. This
 // keeps the wire layer below the protocol layers in the include DAG — it
 // never names a concrete message type.
-
-// Shared between the eager frame decoder and the lazy FrameView
-// (frame_view.h); not part of the module API.
-namespace internal {
-
-// Header flag bits (u8 on the wire).
-inline constexpr uint8_t kFlagIsResponse = 1u << 0;
-
-// Registered payload decoder for a raw type tag, or nullptr.
-MessageDecodeFn FindMessageDecoder(uint16_t raw_type);
-
-// CHECK with context: codec registration/encoding failures are build wiring
-// bugs; die loudly with the offending type in the message.
-[[noreturn]] void WireCodecFailure(const std::string& why);
-
-}  // namespace internal
 
 }  // namespace scatter::wire
 

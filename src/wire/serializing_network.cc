@@ -6,14 +6,19 @@
 #include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/wire/codec.h"
-#include "src/wire/frame_view.h"
 
 namespace scatter::wire {
 namespace {
 
 // Length prefix + fixed header; added to the message's self-reported payload
-// estimate to pick the pool size class.
+// estimate so most frames encode without growing their buffer.
 constexpr size_t kFrameOverhead = 4 + kFrameHeaderSize;
+
+// Encodes `m` into `frame`, reserved up front to the message's size estimate.
+void EncodeInto(const sim::Message& m, Buffer& frame) {
+  frame.Reserve(m.ByteSize() + kFrameOverhead);
+  EncodeFrame(m, frame);
+}
 
 // Compares two encoded frames ignoring the fixed `to` header slot:
 // RpcNode::Forward legitimately rewrites `to` on a delivered message to
@@ -41,10 +46,7 @@ bool FramesEqualIgnoringTo(const Buffer& a, const Buffer& b) {
 
 SerializingNetwork::SerializingNetwork(sim::Simulator* sim,
                                        sim::NetworkConfig config)
-    : sim::Network(sim, config),
-      pool_(BufferPool::Config{.enabled = WirePoolEnabledFromEnv()},
-            &sim->metrics()),
-      metrics_(&sim->metrics()) {
+    : sim::Network(sim, config), metrics_(&sim->metrics()) {
   // Codecs are registered by the protocol modules that own the message
   // structs (core::RegisterScatterWireCodecs(), baseline's RegisterWireCodecs):
   // the wire layer sits below them in the include DAG and cannot name their
@@ -63,39 +65,31 @@ SerializingNetwork::TrafficCells& SerializingNetwork::CellsFor(NodeId node) {
 
 void SerializingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
                                            const sim::MessagePtr& message) {
-  BufferPool::Handle frame =
-      pool_.Acquire(message->ByteSize() + kFrameOverhead, message->to);
-  EncodeFrame(*message, *frame);
+  Buffer frame;
+  EncodeInto(*message, frame);
   TrafficCells& cells = CellsFor(message->to);
   ++*cells.frames;
-  *cells.bytes += frame->size();
+  *cells.bytes += frame.size();
   total_frames_++;
-  total_bytes_ += frame->size();
+  total_bytes_ += frame.size();
 
   std::string error;
-  FrameView view;
-  if (!view.Parse(frame.data(), frame.size(), &error)) {
-    SCATTER_ERROR() << "serializing transport: self-encoded "
-                    << sim::MessageTypeName(message->type)
-                    << " frame failed header peek: " << error;
-    SCATTER_CHECK(false);
-  }
-  SCATTER_CHECK(view.frame_size() == frame.size());
-  const sim::MessagePtr& copy = view.Materialize(&error);
+  size_t consumed = 0;
+  sim::MessagePtr copy =
+      DecodeFrame(frame.data(), frame.size(), &consumed, &error);
   if (copy == nullptr) {
     SCATTER_ERROR() << "serializing transport: self-encoded "
                     << sim::MessageTypeName(message->type)
                     << " frame failed to decode: " << error;
     SCATTER_CHECK(copy != nullptr);
   }
+  SCATTER_CHECK(consumed == frame.size());
   endpoint->HandleMessage(copy);
 }
 
 AuditingNetwork::AuditingNetwork(sim::Simulator* sim,
                                  sim::NetworkConfig config)
-    : sim::Network(sim, config),
-      pool_(BufferPool::Config{.enabled = WirePoolEnabledFromEnv()},
-            &sim->metrics()) {}
+    : sim::Network(sim, config) {}
 
 void AuditingNetwork::Report(const sim::MessagePtr& message,
                              std::string detail) {
@@ -111,28 +105,24 @@ void AuditingNetwork::Report(const sim::MessagePtr& message,
 
 void AuditingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
                                         const sim::MessagePtr& message) {
-  BufferPool::Handle before =
-      pool_.Acquire(message->ByteSize() + kFrameOverhead);
-  EncodeFrame(*message, *before);
+  Buffer before;
+  EncodeInto(*message, before);
 
   // Round-trip stability: decode a fresh copy of the frame and re-encode;
-  // any divergence is a codec dropping or mangling a field. The decoded
-  // copy carries no payload memos, so the re-encode exercises the real
-  // per-type encoders even when `before` itself was served from a memo.
+  // any divergence is a codec dropping or mangling a field.
   std::string error;
-  FrameView view;
-  if (!view.Parse(before.data(), before.size(), &error)) {
-    Report(message, "self-encoded frame failed header peek: " + error);
+  size_t consumed = 0;
+  sim::MessagePtr copy =
+      DecodeFrame(before.data(), before.size(), &consumed, &error);
+  if (copy == nullptr) {
+    Report(message, "self-encoded frame failed to decode: " + error);
   } else {
-    const sim::MessagePtr& copy = view.Materialize(&error);
-    if (copy == nullptr) {
-      Report(message, "self-encoded frame failed to decode: " + error);
-    } else {
-      BufferPool::Handle reencoded = pool_.Acquire(before.size());
-      EncodeFrame(*copy, *reencoded);
-      if (!(*reencoded == *before)) {
-        Report(message, "encode -> decode -> encode is not byte-identical");
-      }
+    SCATTER_CHECK(consumed == before.size());
+    Buffer reencoded;
+    reencoded.Reserve(before.size());
+    EncodeFrame(*copy, reencoded);
+    if (!(reencoded == before)) {
+      Report(message, "encode -> decode -> encode is not byte-identical");
     }
   }
 
@@ -143,9 +133,10 @@ void AuditingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
   // state it does not own. Forward's `to` rewrite is the sanctioned
   // exception. Byte-level comparison of the re-encoded frame — no decode
   // needed on this leg.
-  BufferPool::Handle after = pool_.Acquire(before.size());
-  EncodeFrame(*message, *after);
-  if (!FramesEqualIgnoringTo(*before, *after)) {
+  Buffer after;
+  after.Reserve(before.size());
+  EncodeFrame(*message, after);
+  if (!FramesEqualIgnoringTo(before, after)) {
     Report(message, "handler mutated a delivered message");
   }
 }

@@ -14,10 +14,10 @@
 //                       handlers that mutate a delivered (possibly shared)
 //                       message, plus any codec that fails to round-trip.
 //
-// Hot-path mechanics (see DESIGN.md "wire hot path"): frame bytes live in
-// pooled buffers (BufferPool, SCATTER_WIRE_POOL), header routing fields are
-// read through a lazy FrameView, and both transports publish their traffic
-// and pool counters ("wire.*") in the simulation's metrics registry.
+// Each delivery encodes into a stack wire::Buffer reserved to the message's
+// size estimate and decodes it straight back with DecodeFrame (see DESIGN.md
+// "wire hot path"). SerializingNetwork publishes its traffic counters
+// ("wire.*") in the simulation's metrics registry.
 
 #ifndef SCATTER_SRC_WIRE_SERIALIZING_NETWORK_H_
 #define SCATTER_SRC_WIRE_SERIALIZING_NETWORK_H_
@@ -29,7 +29,6 @@
 
 #include "src/common/histogram.h"
 #include "src/sim/network.h"
-#include "src/wire/buffer_pool.h"
 
 namespace scatter::wire {
 
@@ -41,7 +40,6 @@ class SerializingNetwork : public sim::Network {
 
   uint64_t frames_serialized() const { return total_frames_; }
   uint64_t bytes_serialized() const { return total_bytes_; }
-  const BufferPool& buffer_pool() const { return pool_; }
 
  protected:
   void DeliverToEndpoint(sim::Endpoint* endpoint,
@@ -59,7 +57,6 @@ class SerializingNetwork : public sim::Network {
   };
   TrafficCells& CellsFor(NodeId node);
 
-  BufferPool pool_;
   obs::MetricsRegistry* metrics_;
   std::map<NodeId, TrafficCells> traffic_cells_;
   uint64_t total_frames_ = 0;
@@ -86,8 +83,6 @@ class AuditingNetwork : public sim::Network {
   // violations() instead.
   void set_fail_on_violation(bool fail) { fail_on_violation_ = fail; }
 
-  const BufferPool& buffer_pool() const { return pool_; }
-
  protected:
   void DeliverToEndpoint(sim::Endpoint* endpoint,
                          const sim::MessagePtr& message) override;
@@ -95,7 +90,6 @@ class AuditingNetwork : public sim::Network {
  private:
   void Report(const sim::MessagePtr& message, std::string detail);
 
-  BufferPool pool_;
   bool fail_on_violation_ = true;
   std::vector<Violation> violations_;
 };

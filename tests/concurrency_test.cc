@@ -1,6 +1,6 @@
 // Threaded stress over the components whose Thread-compat contracts promise
-// thread safety ahead of the TCP transport: the metrics registry, the wire
-// buffer pool, FsDisk, and scatter::Mutex itself. These tests are the
+// thread safety ahead of the TCP transport: the metrics registry, FsDisk,
+// and scatter::Mutex itself. These tests are the
 // dynamic cross-check on the static thread-safety annotations
 // (src/common/thread_annotations.h): the annotations prove lock discipline
 // lexically, this binary proves it under real interleavings. CI runs it
@@ -20,7 +20,6 @@
 #include "src/common/thread_annotations.h"
 #include "src/obs/metrics.h"
 #include "src/storage/fs_disk.h"
-#include "src/wire/buffer_pool.h"
 
 namespace scatter {
 namespace {
@@ -104,37 +103,6 @@ TEST(RegistryStress, ConcurrentMergesAndReadsSumExactly) {
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count(), static_cast<uint64_t>(kIters));
   }
-}
-
-// Pool freelists under contention: concurrent Acquire/Release across size
-// classes, with handles released on the acquiring thread (the TCP
-// per-connection-writer pattern). Every acquire is either a hit or a miss,
-// and the freelists never exceed their caps.
-TEST(PoolStress, ConcurrentAcquireReleaseAccountsEveryLease) {
-  wire::BufferPool::Config config;
-  config.enabled = true;
-  config.max_buffers_per_class = 8;
-  wire::BufferPool pool(config);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, t] {
-      for (int i = 0; i < kIters; ++i) {
-        // Mix size classes so threads collide on some freelists and not
-        // others; write through the buffer to catch cross-lease aliasing.
-        wire::BufferPool::Handle h =
-            pool.Acquire(/*size_hint=*/64 << (i % 3), /*node=*/NodeId(t + 1));
-        h->WriteBytes(reinterpret_cast<const uint8_t*>("scatter"), 7);
-        ASSERT_EQ(h.size(), 7u);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(pool.hits() + pool.misses(),
-            static_cast<uint64_t>(kThreads) * kIters);
-  EXPECT_LE(pool.pooled_buffers(), size_t{3} * config.max_buffers_per_class);
 }
 
 // Racing atomic publishes: N threads Replace the same file with distinct

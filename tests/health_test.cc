@@ -143,36 +143,6 @@ TEST(HealthMonitorTest, RecoveryStuckRaisesOnLingeringGauge) {
   EXPECT_EQ(reg.GetGauge("health.recovery_stuck", 7, 0).value, 0);
 }
 
-TEST(HealthMonitorTest, PoolMissSpikeIsPerNodeAndPerWindow) {
-  MetricsRegistry reg;
-  HealthConfig cfg;  // pool_miss_threshold = 256 per window
-  HealthMonitor monitor(cfg, &reg);
-
-  reg.GetCounter("wire.pool.miss", 1) += 300;
-  reg.GetCounter("wire.pool.miss", 2) += 10;
-  monitor.Tick(cfg.period_us);
-  // 300 misses in one window crosses the 256 threshold; 10 does not.
-  EXPECT_TRUE(Raised(monitor, "pool_miss_spike", 1, 0));
-  EXPECT_FALSE(Raised(monitor, "pool_miss_spike", 2, 0));
-
-  // Steady-state hits (no more misses): clears after clear_after=2 windows.
-  monitor.Tick(2 * cfg.period_us);
-  EXPECT_TRUE(Raised(monitor, "pool_miss_spike", 1, 0));
-  monitor.Tick(3 * cfg.period_us);
-  EXPECT_FALSE(Raised(monitor, "pool_miss_spike", 1, 0));
-
-  // With the detector disabled (what Cluster does under
-  // SCATTER_WIRE_POOL=off, where every acquire is a miss by design), the
-  // same burst raises nothing.
-  HealthConfig off_cfg;
-  off_cfg.pool_miss_spike_enabled = false;
-  HealthMonitor off_monitor(off_cfg, &reg);
-  reg.GetCounter("wire.pool.miss", 1) += 1000;
-  off_monitor.Tick(off_cfg.period_us);
-  off_monitor.Tick(2 * off_cfg.period_us);
-  EXPECT_TRUE(off_monitor.quiet());
-}
-
 TEST(HealthMonitorTest, TickIsIdempotentPerTimestamp) {
   MetricsRegistry reg;
   HealthConfig cfg;

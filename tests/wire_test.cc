@@ -32,7 +32,6 @@
 #include "src/txn/wire_codecs.h"
 #include "src/wire/buffer.h"
 #include "src/wire/codec.h"
-#include "src/wire/frame_view.h"
 
 namespace scatter::wire {
 namespace {
@@ -804,62 +803,11 @@ TEST_F(WireTest, NullAndUnknownCommandTags) {
   }
 }
 
-// --- Lazy decode (FrameView) -------------------------------------------------
+// --- Frame decoder rejections ------------------------------------------------
 
-// The lazy path must be observationally identical to the eager decoder on
-// every accepted input: same header fields at peek time, same message after
-// materialization (checked byte-for-byte through re-encode), same consumed
-// size.
-TEST_F(WireTest, LazyViewMatchesEagerDecodeOnEveryType) {
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
-    Rng rng(seed);
-    for (const auto& m : SampleMessages(rng)) {
-      Buffer frame;
-      EncodeFrame(*m, frame);
-
-      size_t consumed = 0;
-      std::string eager_error;
-      sim::MessagePtr eager =
-          DecodeFrame(frame.data(), frame.size(), &consumed, &eager_error);
-      ASSERT_NE(eager, nullptr)
-          << sim::MessageTypeName(m->type) << ": " << eager_error;
-
-      FrameView view;
-      std::string lazy_error;
-      ASSERT_TRUE(view.Parse(frame.data(), frame.size(), &lazy_error))
-          << sim::MessageTypeName(m->type) << ": " << lazy_error;
-      // Header peek alone must expose the routing/tracing fields.
-      EXPECT_FALSE(view.materialized());
-      EXPECT_EQ(view.type(), m->type);
-      EXPECT_EQ(view.from(), m->from);
-      EXPECT_EQ(view.to(), m->to);
-      EXPECT_EQ(view.rpc_id(), m->rpc_id);
-      EXPECT_EQ(view.is_response(), m->is_response);
-      EXPECT_EQ(view.trace_id(), m->trace_id);
-      EXPECT_EQ(view.span_id(), m->span_id);
-      EXPECT_EQ(view.frame_size(), consumed);
-      EXPECT_EQ(view.frame_size(), 4 + kFrameHeaderSize + view.payload_size());
-
-      const sim::MessagePtr& lazy = view.Materialize(&lazy_error);
-      ASSERT_NE(lazy, nullptr)
-          << sim::MessageTypeName(m->type) << ": " << lazy_error;
-      EXPECT_TRUE(view.materialized());
-      // Byte-identical re-encode pins lazy == eager on every field without
-      // per-type comparison code.
-      Buffer from_eager;
-      EncodeFrame(*eager, from_eager);
-      Buffer from_lazy;
-      EncodeFrame(*lazy, from_lazy);
-      EXPECT_EQ(from_eager.bytes(), from_lazy.bytes())
-          << sim::MessageTypeName(m->type);
-      // Materialize is cached: same object back, no second decode.
-      EXPECT_EQ(view.Materialize().get(), lazy.get());
-    }
-  }
-}
-
-// Header-level rejections happen at peek time: Parse fails before any
-// payload work, with the same error string the eager decoder reports.
+// Header-level rejections happen before any payload work, each with its own
+// error text: a bad version or type, a frame cut inside the length prefix or
+// fixed header, and a length prefix too short to hold the fixed header.
 TEST_F(WireTest, HeaderPeekRejectsUnknownVersionTypeAndTruncation) {
   Rng rng(13);
   auto m = std::make_shared<core::ClientRequestMsg>();
@@ -869,77 +817,83 @@ TEST_F(WireTest, HeaderPeekRejectsUnknownVersionTypeAndTruncation) {
   Buffer frame;
   EncodeFrame(*Finish(m, rng), frame);
 
-  auto expect_same_rejection = [](const uint8_t* data, size_t size) {
+  auto expect_rejection = [](const uint8_t* data, size_t size,
+                             const std::string& want) {
     size_t consumed = 1;
-    std::string eager_error;
-    ASSERT_EQ(DecodeFrame(data, size, &consumed, &eager_error), nullptr);
-    ASSERT_EQ(consumed, 0u);
-    FrameView view;
-    std::string lazy_error;
-    EXPECT_FALSE(view.Parse(data, size, &lazy_error));
-    EXPECT_EQ(lazy_error, eager_error);
+    std::string error;
+    EXPECT_EQ(DecodeFrame(data, size, &consumed, &error), nullptr) << want;
+    EXPECT_EQ(consumed, 0u) << want;
+    EXPECT_EQ(error, want);
   };
 
   {
     std::vector<uint8_t> bytes(frame.data(), frame.data() + frame.size());
     bytes[4] = 0xff;  // version u16 lives right after the length prefix
     bytes[5] = 0xff;
-    expect_same_rejection(bytes.data(), bytes.size());
+    expect_rejection(bytes.data(), bytes.size(), "unknown wire version 65535");
   }
   {
     std::vector<uint8_t> bytes(frame.data(), frame.data() + frame.size());
     bytes[6] = 0xff;  // type u16 follows the version
     bytes[7] = 0x7f;
-    expect_same_rejection(bytes.data(), bytes.size());
+    expect_rejection(bytes.data(), bytes.size(),
+                     "unregistered message type 32767");
   }
-  // Every truncation that cuts the length prefix or fixed header must be
-  // rejected by Parse; payload truncations parse but fail to materialize.
+  // Every truncation that cuts the length prefix or fixed header.
+  const size_t frame_len = frame.size() - 4;
   for (size_t n = 0; n < 4 + kFrameHeaderSize; ++n) {
-    expect_same_rejection(frame.data(), n);
+    expect_rejection(frame.data(), n,
+                     n < 4 ? "short frame: missing length prefix"
+                           : "short frame: length " +
+                                 std::to_string(frame_len) +
+                                 " exceeds available " +
+                                 std::to_string(n - 4));
+  }
+  // Every length prefix shorter than the fixed header, with exactly that
+  // many bytes present: the fields are checked in wire order, and a field
+  // cut short reads as zero.
+  for (uint32_t len = 0; len < kFrameHeaderSize; ++len) {
+    std::vector<uint8_t> bytes(frame.data(), frame.data() + 4 + len);
+    for (int i = 0; i < 4; ++i) {
+      bytes[i] = static_cast<uint8_t>(len >> (8 * i));
+    }
+    expect_rejection(bytes.data(), bytes.size(),
+                     len < 2   ? "unknown wire version 0"
+                     : len < 4 ? "unregistered message type 0"
+                               : "short frame: truncated header");
   }
 }
 
-// Exhaustive lazy-vs-eager agreement on hostile input: truncations at every
-// byte boundary and garbage payloads across all message types must produce
-// the same verdict AND the same error text on both paths.
-TEST_F(WireTest, LazyViewFuzzAgreesWithEagerDecode) {
+// Hostile input across all message types: truncations of a real frame at
+// every step are rejected with nothing consumed, the whole frame decodes to
+// a byte-identical re-encode, and garbage payloads under a valid header are
+// rejected.
+TEST_F(WireTest, DecodeFrameFuzzRejectsTruncationsAndGarbage) {
   Rng rng(17);
 
-  auto expect_agreement = [](const uint8_t* data, size_t size,
-                             const char* what) {
-    size_t consumed = 1;
-    std::string eager_error;
-    sim::MessagePtr eager = DecodeFrame(data, size, &consumed, &eager_error);
-
-    FrameView view;
-    std::string lazy_error;
-    sim::MessagePtr lazy;
-    if (view.Parse(data, size, &lazy_error)) {
-      lazy = view.Materialize(&lazy_error);
-    }
-    ASSERT_EQ(eager == nullptr, lazy == nullptr)
-        << what << ": eager=" << eager_error << " lazy=" << lazy_error;
-    if (eager == nullptr) {
-      EXPECT_EQ(lazy_error, eager_error) << what;
-    } else {
-      EXPECT_EQ(view.frame_size(), consumed) << what;
-      Buffer a;
-      EncodeFrame(*eager, a);
-      Buffer b;
-      EncodeFrame(*lazy, b);
-      EXPECT_EQ(a.bytes(), b.bytes()) << what;
-    }
-  };
-
-  // Truncations of a real frame of every sampled type.
   for (const auto& m : SampleMessages(rng)) {
     Buffer frame;
     EncodeFrame(*m, frame);
-    for (size_t n = 0; n <= frame.size(); n += 1 + n / 8) {
-      expect_agreement(frame.data(), n, sim::MessageTypeName(m->type));
+    const char* what = sim::MessageTypeName(m->type);
+    for (size_t n = 0; n < frame.size(); n += 1 + n / 8) {
+      size_t consumed = 1;
+      std::string error;
+      EXPECT_EQ(DecodeFrame(frame.data(), n, &consumed, &error), nullptr)
+          << what << ": prefix of " << n << " bytes decoded";
+      EXPECT_EQ(consumed, 0u) << what;
+      EXPECT_FALSE(error.empty()) << what;
     }
+    size_t consumed = 0;
+    std::string error;
+    sim::MessagePtr decoded =
+        DecodeFrame(frame.data(), frame.size(), &consumed, &error);
+    ASSERT_NE(decoded, nullptr) << what << ": " << error;
+    EXPECT_EQ(consumed, frame.size()) << what;
+    Buffer again;
+    EncodeFrame(*decoded, again);
+    EXPECT_EQ(again.bytes(), frame.bytes()) << what;
   }
-  // Garbage payloads under a valid header.
+
   for (int round = 0; round < 200; ++round) {
     const sim::MessageType type =
         sim::kAllMessageTypes[rng() % sim::kMessageTypeCount];
@@ -952,73 +906,57 @@ TEST_F(WireTest, LazyViewFuzzAgreesWithEagerDecode) {
       b.WriteU8(static_cast<uint8_t>(rng() % 256));
     }
     b.PatchU32(at, static_cast<uint32_t>(b.size() - 4));
-    expect_agreement(b.data(), b.size(), sim::MessageTypeName(type));
+    size_t consumed = 1;
+    std::string error;
+    EXPECT_EQ(DecodeFrame(b.data(), b.size(), &consumed, &error), nullptr)
+        << sim::MessageTypeName(type) << " accepted " << garbage
+        << " garbage bytes";
+    EXPECT_EQ(consumed, 0u);
+    EXPECT_FALSE(error.empty());
   }
 }
 
-// --- Encode-side payload memo ------------------------------------------------
+// --- Buffer ------------------------------------------------------------------
 
-// The scatter-gather encode invariants: a command's canonical bytes are
-// produced once and reused on every later encode (byte-identically), and the
-// memo never crosses to the decode side — a decoded copy re-encodes through
-// the real per-type encoder, which is what keeps the audit transport's
-// stability check honest.
-TEST_F(WireTest, CommandEncodeMemoReusesBytesOnFanOut) {
-  auto cmd = std::make_shared<membership::PutCommand>(7, "memo-me");
-  cmd->client_id = 3;
-  cmd->client_seq = 11;
-  const paxos::CommandPtr shared = cmd;
-  ASSERT_EQ(shared->wire_memo, nullptr);
-
-  const paxos::PayloadEncodeStats before = paxos::GetPayloadEncodeStats();
-  Buffer first;
-  paxos::EncodeCommand(shared, first);
-  ASSERT_NE(shared->wire_memo, nullptr);
-  EXPECT_EQ(shared->wire_memo->size(), first.size());
-
-  // Fan-out: five more encodes of the same object, as ReplicateTo does when
-  // replicating one entry to five peers. All served from the memo, all
-  // byte-identical.
-  for (int peer = 0; peer < 5; ++peer) {
-    Buffer again;
-    paxos::EncodeCommand(shared, again);
-    EXPECT_EQ(again.bytes(), first.bytes());
+// A buffer reused through clear() shows exactly what the current round
+// wrote. Under AddressSanitizer the unwritten tail [size, capacity) is
+// poisoned, so a read past the written bytes or through a pointer kept
+// across clear() is a hard error rather than a stale read.
+TEST(WireBufferTest, ClearedBufferComesBackCleanAfterDirtying) {
+  Buffer b;
+  for (int round = 0; round < 64; ++round) {
+    b.clear();
+    ASSERT_TRUE(b.empty()) << "round " << round;
+#ifdef SCATTER_WIRE_ASAN
+    if (b.capacity() != 0) {
+      EXPECT_TRUE(__asan_address_is_poisoned(b.data())) << "round " << round;
+    }
+#endif
+    // A round-specific dirty pattern of varying length.
+    const size_t len = 16 + static_cast<size_t>(round) * 7 % 400;
+    for (size_t i = 0; i < len; ++i) {
+      b.WriteU8(static_cast<uint8_t>(round * 31 + i));
+    }
+    ASSERT_EQ(b.size(), len);
+    for (size_t i = 0; i < len; ++i) {
+      ASSERT_EQ(b.data()[i], static_cast<uint8_t>(round * 31 + i));
+    }
+#ifdef SCATTER_WIRE_ASAN
+    EXPECT_FALSE(__asan_address_is_poisoned(b.data() + len - 1));
+    if (len < b.capacity()) {
+      EXPECT_TRUE(__asan_address_is_poisoned(b.data() + len))
+          << "round " << round;
+    }
+#endif
   }
-  const paxos::PayloadEncodeStats after = paxos::GetPayloadEncodeStats();
-  EXPECT_EQ(after.memo_fills - before.memo_fills, 1u);
-  EXPECT_EQ(after.memo_hits - before.memo_hits, 5u);
-  EXPECT_EQ(after.memo_bytes_reused - before.memo_bytes_reused,
-            5 * first.size());
-
-  // Decode side: fresh object, no memo attached.
-  Reader in(first);
-  paxos::CommandPtr decoded = paxos::DecodeCommand(in);
-  ASSERT_NE(decoded, nullptr);
-  EXPECT_TRUE(in.ok());
-  EXPECT_EQ(decoded->wire_memo, nullptr);
-  // And its re-encode (through the real encoder) matches the memo bytes.
-  Buffer re;
-  paxos::EncodeCommand(decoded, re);
-  EXPECT_EQ(re.bytes(), first.bytes());
 }
 
-TEST_F(WireTest, SnapshotEncodeMemoReusesBytes) {
-  Rng rng(19);
-  auto snap = RandGroupSnapshot(rng);
-  ASSERT_NE(snap, nullptr);
-  ASSERT_EQ(snap->wire_memo, nullptr);
-  Buffer first;
-  paxos::EncodeSnapshot(snap, first);
-  ASSERT_NE(snap->wire_memo, nullptr);
-  Buffer again;
-  paxos::EncodeSnapshot(snap, again);
-  EXPECT_EQ(again.bytes(), first.bytes());
-
-  Reader in(first);
-  paxos::SnapshotPtr decoded = paxos::DecodeSnapshot(in);
-  ASSERT_NE(decoded, nullptr);
-  EXPECT_TRUE(in.ok());
-  EXPECT_EQ(decoded->wire_memo, nullptr);
+// An allocation failure while growing dies on a CHECK instead of writing
+// through a null pointer. Sanitizer allocators refuse the size themselves.
+TEST(WireBufferDeathTest, ReserveOfImpossibleSizeDies) {
+  Buffer b;
+  EXPECT_DEATH(b.Reserve(size_t{1} << 62),
+               "grown != nullptr|allocation-size-too-big");
 }
 
 TEST_F(WireTest, GarbagePayloadNeverCrashes) {

@@ -38,8 +38,8 @@ const std::vector<RuleInfo> kRules = {
      "stale suppressions hide future regressions"},
     {"wire-hot-alloc",
      "flags direct std::vector<uint8_t> construction or `new` in src/wire/ "
-     "encode/decode paths outside the buffer pool — per-frame byte storage "
-     "must come from wire::BufferPool so the hot path stays allocation-free"},
+     "outside src/wire/buffer.h — per-frame byte storage must be a "
+     "wire::Buffer so encode/decode paths allocate at most once per frame"},
     {"durability-io",
      "bans direct file I/O (fstream family, fopen/fwrite/fsync, ...) in src/ "
      "outside src/storage/ — durable state must flow through the "
@@ -686,19 +686,17 @@ void RunTransportSeam(Engine& eng, const FileState& fs) {
 
 // --- Rule: wire-hot-alloc ----------------------------------------------------
 
-// The wire layer's per-frame byte storage must come from wire::BufferPool:
-// a stray `new` or a fresh std::vector<uint8_t> in an encode/decode path
-// reintroduces the per-delivery allocation the pool exists to remove. The
-// pool itself and Buffer (whose vector IS the pooled storage) are the
-// sanctioned owners; startup-time allocations (e.g. the codec registry)
-// carry a LINT-ALLOW with the reason.
+// The wire layer's per-frame byte storage must be a wire::Buffer: a stray
+// `new` or a fresh std::vector<uint8_t> in an encode/decode path adds a
+// second allocation (and a copy) per frame. Buffer itself is the sanctioned
+// owner; startup-time allocations (e.g. the codec registry) carry a
+// LINT-ALLOW with the reason.
 void RunWireHotAlloc(Engine& eng, const FileState& fs) {
   const std::string& path = fs.source.path;
   if (!HasPrefix(path, "src/wire/")) {
     return;
   }
-  if (path == "src/wire/buffer.h" || path == "src/wire/buffer_pool.h" ||
-      path == "src/wire/buffer_pool.cc") {
+  if (path == "src/wire/buffer.h") {
     return;
   }
   const std::vector<Token>& toks = fs.tok.tokens;
@@ -708,16 +706,15 @@ void RunWireHotAlloc(Engine& eng, const FileState& fs) {
     }
     if (toks[i].text == "new") {
       eng.Report("wire-hot-alloc", path, toks[i].line,
-                 "`new` in the wire layer — frame storage must be acquired "
-                 "from wire::BufferPool (LINT-ALLOW for one-time startup "
-                 "allocations)");
+                 "`new` in the wire layer — use wire::Buffer for frame "
+                 "storage (LINT-ALLOW for one-time startup allocations)");
     } else if (toks[i].text == "vector" && i + 3 < toks.size() &&
                toks[i + 1].text == "<" && toks[i + 2].text == "uint8_t" &&
                (toks[i + 3].text == ">" || toks[i + 3].text == ">>")) {
       eng.Report("wire-hot-alloc", path, toks[i].line,
-                 "raw std::vector<uint8_t> in the wire layer — use a pooled "
-                 "wire::Buffer (BufferPool::Acquire) so encode/decode paths "
-                 "do not allocate per frame");
+                 "raw std::vector<uint8_t> in the wire layer — use "
+                 "wire::Buffer so encode/decode paths do not copy frame "
+                 "bytes into a second allocation");
     }
   }
 }

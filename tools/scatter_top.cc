@@ -125,7 +125,6 @@ struct GroupAgg {
 struct NodeAgg {
   double sum_frames = 0;
   double sum_wire_bytes = 0;
-  double sum_pool_miss = 0;
   size_t intervals = 0;
   std::set<std::string> health;
 };
@@ -160,7 +159,6 @@ void Render(const TimelineRecorder::Parsed& parsed, bool last_only) {
       NodeAgg& agg = nodes[row.node];
       agg.sum_frames += row.frames_per_sec;
       agg.sum_wire_bytes += row.wire_bytes_per_sec;
-      agg.sum_pool_miss += row.pool_miss_per_sec;
       agg.intervals++;
       agg.health.insert(row.health.begin(), row.health.end());
     }
@@ -187,12 +185,11 @@ void Render(const TimelineRecorder::Parsed& parsed, bool last_only) {
 
   if (!nodes.empty()) {
     std::printf("\n");
-    Table nt({"node", "frames/s", "wire_bytes/s", "pool_miss/s", "health"});
+    Table nt({"node", "frames/s", "wire_bytes/s", "health"});
     for (const auto& [node, agg] : nodes) {
       const double n = static_cast<double>(agg.intervals);
       nt.AddRow({std::to_string(node), Fmt(agg.sum_frames / n, 0),
-                 Fmt(agg.sum_wire_bytes / n, 0), Fmt(agg.sum_pool_miss / n),
-                 JoinHealth(agg.health)});
+                 Fmt(agg.sum_wire_bytes / n, 0), JoinHealth(agg.health)});
     }
     nt.Print();
   }
