@@ -88,6 +88,7 @@ struct CommitPathSummary {
   uint64_t accept_broadcasts = 0;
   uint64_t accepts_sent = 0;
   uint64_t accept_entries_sent = 0;
+  uint64_t empty_accepts_sent = 0;
   uint64_t acks_sent = 0;
   uint64_t acks_coalesced = 0;
   uint64_t messages_sent = 0;
@@ -98,17 +99,20 @@ struct CommitPathSummary {
     accept_broadcasts += s.accept_broadcasts;
     accepts_sent += s.accepts_sent;
     accept_entries_sent += s.accept_entries_sent;
+    empty_accepts_sent += s.empty_accepts_sent;
     acks_sent += s.acks_sent;
     acks_coalesced += s.acks_coalesced;
     messages_sent += s.messages_sent;
   }
   void AddCommittedOps(uint64_t n) { committed_ops += n; }
 
+  // Entries per data-carrying Accept: empty heartbeat/commit-notify Accepts
+  // carry no batch, so counting them would read below 1 at light load.
   double AvgBatch() const {
-    return accepts_sent == 0
-               ? 0.0
-               : static_cast<double>(accept_entries_sent) /
-                     static_cast<double>(accepts_sent);
+    const uint64_t data_accepts = accepts_sent - empty_accepts_sent;
+    return data_accepts == 0 ? 0.0
+                             : static_cast<double>(accept_entries_sent) /
+                                   static_cast<double>(data_accepts);
   }
   double MsgsPerCommittedOp() const {
     return committed_ops == 0

@@ -10,7 +10,7 @@
 #   scripts/ci.sh bench           # just the benchmark smoke (plain build)
 #   scripts/ci.sh obs             # traced sim + trace/metrics JSON schema check
 #   scripts/ci.sh wire            # full suite over serializing + audit
-#   scripts/ci.sh mc              # model-checker smoke (delay-bounded split scenario)
+#   scripts/ci.sh mc              # model-checker smoke (delay-bounded split + config_truncate)
 #   scripts/ci.sh durability      # full suite with persistence on (serializing) + mc crash-with-disk smoke
 #   scripts/ci.sh concurrency     # thread-safety annotations (clang) + lock-discipline lint + TSan stress
 #
@@ -93,18 +93,23 @@ run_wire() {
 }
 
 run_mc() {
-  # Model-checker smoke: a delay-bounded exploration of the 2-group split
-  # scenario must exhaust its budget without finding a violation. The
-  # schedule tree at this budget is ~3k schedules / a few seconds; the wall
-  # budget caps it well under 30s on a slow machine.
+  # Model-checker smoke: delay-bounded explorations of the 2-group split
+  # scenario and of the config_truncate scenario (an uncommitted add-member
+  # entry overwritten by a new leader) must exhaust their budgets without
+  # finding a violation. Each schedule tree at this budget is ~2-3k
+  # schedules / a few seconds; the wall budget caps each well under 30s on
+  # a slow machine.
   local bdir="${BUILD_DIR:-build}"
-  echo "=== mc: delay-bounded smoke over the split scenario ($bdir) ==="
   if [[ ! -x "$bdir/tools/mc_explore" ]]; then
     cmake -B "$bdir" -S .
     cmake --build "$bdir" -j "$JOBS"
   fi
-  "$bdir/tools/mc_explore" --scenario split --strategy delay \
-      --budget-seconds 25 --counterexample none
+  local scenario
+  for scenario in split config_truncate; do
+    echo "=== mc: delay-bounded smoke over the $scenario scenario ($bdir) ==="
+    "$bdir/tools/mc_explore" --scenario "$scenario" --strategy delay \
+        --budget-seconds 25 --counterexample none
+  done
 }
 
 run_durability() {

@@ -24,6 +24,14 @@ namespace {
 std::string GroupTag(GroupId group) { return "g" + std::to_string(group); }
 std::string NodeTag(NodeId node) { return "n" + std::to_string(node); }
 
+std::string NodeList(const std::vector<NodeId>& nodes) {
+  std::string out = "{";
+  for (NodeId node : nodes) {
+    out += (out.size() > 1 ? "," : "") + NodeTag(node);
+  }
+  return out + "}";
+}
+
 // Value equality for committed commands. On the in-process transport all
 // replicas share one allocation, so pointer identity settles it; on the
 // serializing transport every replica holds its own decoded copy, so fall
@@ -213,6 +221,32 @@ class PaxosSafetyChecker : public Checker {
                             " diverges from the value another replica " +
                             "committed at that slot");
       }
+    }
+
+    // Voting config: the replica folds only the log's indexed config
+    // entries; the oracle folds every config entry found by scanning every
+    // slot, in index order, on top of the snapshot config.
+    std::vector<NodeId> config = replica.snapshot_config();
+    for (uint64_t slot = log.first_index(); slot <= log.last_index();
+         ++slot) {
+      const paxos::LogEntry* entry = log.At(slot);
+      if (entry == nullptr ||
+          entry->command->kind != paxos::Command::Kind::kConfig) {
+        continue;
+      }
+      const auto& cc =
+          static_cast<const paxos::ConfigCommand&>(*entry->command);
+      if (cc.op != paxos::ConfigCommand::Op::kAddMember) {
+        std::erase(config, cc.node);
+      } else if (std::count(config.begin(), config.end(), cc.node) == 0) {
+        config.push_back(cc.node);
+      }
+    }
+    if (config != replica.members()) {
+      problems->push_back(tag + ": voting config " +
+                          NodeList(replica.members()) +
+                          " differs from the log's config entries, which " +
+                          "give " + NodeList(config));
     }
   }
 

@@ -14,7 +14,9 @@
 //             promised ballots and commit indexes are monotonic per
 //             acceptor; at most one leaseholding leader per group; every
 //             slot committed at or below the current leader's ballot is
-//             present in that leader's log (leader completeness).
+//             present in that leader's log (leader completeness); each
+//             replica's voting config equals its snapshot config folded
+//             with every config entry in its log, re-derived by full scan.
 //   ring    — no two leader-led groups serve overlapping ranges (distinct
 //             groups at any epoch; same group only flagged when both
 //             claimants hold a valid lease at the same epoch).

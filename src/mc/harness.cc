@@ -347,28 +347,45 @@ void McHarness::ClientPut(Key key, const std::string& tag) {
   });
 }
 
-bool McHarness::RequestMerge(GroupId group) {
+NodeId McHarness::LeaderOf(GroupId group) {
   for (NodeId id : cluster_->live_node_ids()) {
-    core::ScatterNode* node = cluster_->node(id);
-    const paxos::Replica* replica = node->GroupReplica(group);
+    const paxos::Replica* replica = cluster_->node(id)->GroupReplica(group);
     if (replica != nullptr && replica->is_leader()) {
-      node->RequestMerge(group, [](Status) {});
-      return true;
+      return id;
     }
   }
-  return false;
+  return kInvalidNode;
+}
+
+bool McHarness::RequestMerge(GroupId group) {
+  const NodeId leader = LeaderOf(group);
+  if (leader == kInvalidNode) {
+    return false;
+  }
+  cluster_->node(leader)->RequestMerge(group, [](Status) {});
+  return true;
 }
 
 bool McHarness::RequestSplit(GroupId group) {
-  for (NodeId id : cluster_->live_node_ids()) {
-    core::ScatterNode* node = cluster_->node(id);
-    const paxos::Replica* replica = node->GroupReplica(group);
-    if (replica != nullptr && replica->is_leader()) {
-      node->RequestSplit(group, [](Status) {});
-      return true;
-    }
+  const NodeId leader = LeaderOf(group);
+  if (leader == kInvalidNode) {
+    return false;
   }
-  return false;
+  cluster_->node(leader)->RequestSplit(group, [](Status) {});
+  return true;
+}
+
+bool McHarness::ProposeConfigChange(GroupId group,
+                                    paxos::ConfigCommand::Op op,
+                                    NodeId node) {
+  const NodeId leader = LeaderOf(group);
+  if (leader == kInvalidNode) {
+    return false;
+  }
+  cluster_->node(leader)
+      ->MutableGroupReplicaForTest(group)
+      ->ProposeConfigChange(op, node, [](StatusOr<uint64_t>) {});
+  return true;
 }
 
 bool McHarness::ProbeWrite(Key key) {

@@ -36,6 +36,7 @@
 #include "src/core/cluster.h"
 #include "src/mc/decision.h"
 #include "src/mc/scenario.h"
+#include "src/paxos/command.h"
 #include "src/sim/scheduler.h"
 #include "src/verify/history.h"
 
@@ -99,6 +100,12 @@ class McHarness : public sim::Scheduler {
   // Returns false if the group has no leader (scenario setup too short).
   bool RequestMerge(GroupId group);
   bool RequestSplit(GroupId group);
+  // Proposes a membership change on the group's current leader replica.
+  // Returns false if the group has no leader.
+  bool ProposeConfigChange(GroupId group, paxos::ConfigCommand::Op op,
+                           NodeId node);
+  // The group's current leader node, or kInvalidNode.
+  NodeId LeaderOf(GroupId group);
   // Blocking probe write during the epilogue (liveness goals); runs the
   // simulator up to scenario.probe_run. True on definite success.
   bool ProbeWrite(Key key);

@@ -31,6 +31,13 @@
 //                     locally and re-enters only through a join + bootstrap
 //                     state transfer (the goal asserts exactly that), which
 //                     is what durable WAL recovery saves.
+//   config_truncate — one 3-replica group plus a spare node; the leader
+//                     appends an add-member entry for the spare, and the
+//                     explorer may isolate it before the change commits so
+//                     that a new leader overwrites the slot. Detects
+//                     bug_stale_config_after_truncate (the old leader keeps
+//                     the truncated member in its voting config; the paxos
+//                     auditor property re-derives the config by full scan).
 //
 // "<name>+mutation" variants enable the matching seeded bug flag
 // (src/paxos/config.h, src/txn/group_op_driver.h).
@@ -69,6 +76,33 @@ core::ClusterConfig BaseConfig(size_t nodes, size_t groups) {
   return c;
 }
 
+// Compressed failover: the leader-isolation window the explorer must hit
+// spans one election timeout, a handful of advance_time decisions.
+void CompressFailover(paxos::PaxosConfig& p) {
+  p.heartbeat_interval = Millis(50);
+  p.election_timeout_min = Millis(60);
+  p.election_timeout_max = Millis(80);
+  p.lease_duration = Millis(60);
+  // Keep retransmissions of the in-flight Accept out of the window — the
+  // captured original is the one the explorer aims.
+  p.accept_resend_interval = Seconds(5);
+}
+
+// Partition surface: isolate the first group's current leader; everyone
+// else — including the client — stays on the majority side.
+std::vector<std::vector<NodeId>> IsolateLeader(McHarness& h) {
+  const NodeId leader = h.LeaderOf(h.GroupIdAt(0));
+  SCATTER_CHECK(leader != kInvalidNode);
+  std::vector<NodeId> majority;
+  for (NodeId id : h.cluster().live_node_ids()) {
+    if (id != leader) {
+      majority.push_back(id);
+    }
+  }
+  majority.push_back(h.client_id());
+  return {{leader}, majority};
+}
+
 McScenario MakeSplit() {
   McScenario sc;
   sc.name = "split";
@@ -85,42 +119,52 @@ McScenario MakeStaleBallot() {
   McScenario sc;
   sc.name = "stale_ballot";
   sc.cluster = BaseConfig(/*nodes=*/3, /*groups=*/1);
-  paxos::PaxosConfig& p = sc.cluster.scatter.paxos;
-  // Compressed failover: the leader-isolation window the explorer must hit
-  // spans one election timeout, a handful of advance_time decisions.
-  p.heartbeat_interval = Millis(50);
-  p.election_timeout_min = Millis(60);
-  p.election_timeout_max = Millis(80);
-  p.lease_duration = Millis(60);
-  // Keep retransmissions of the in-flight Accept out of the window — the
-  // captured original is the one the explorer aims.
-  p.accept_resend_interval = Seconds(5);
+  CompressFailover(sc.cluster.scatter.paxos);
   sc.setup_run = Seconds(1);
   sc.on_start = [](McHarness& h) { h.ClientPut(h.KeyInGroup(0), "w"); };
-  sc.partition_islands = [](McHarness& h) {
-    // Isolate the group's current leader; everyone else — including the
-    // client — stays on the majority side.
-    NodeId leader = kInvalidNode;
-    const GroupId group = h.GroupIdAt(0);
-    for (NodeId id : h.cluster().live_node_ids()) {
-      const paxos::Replica* r = h.cluster().node(id)->GroupReplica(group);
-      if (r != nullptr && r->is_leader()) {
-        leader = id;
-        break;
-      }
-    }
-    SCATTER_CHECK(leader != kInvalidNode);
-    std::vector<NodeId> majority;
-    for (NodeId id : h.cluster().live_node_ids()) {
-      if (id != leader) {
-        majority.push_back(id);
-      }
-    }
-    majority.push_back(h.client_id());
-    return std::vector<std::vector<NodeId>>{{leader}, majority};
-  };
+  sc.partition_islands = IsolateLeader;
   // The walk spends most decisions advancing time (reaching the election)
   // rather than flushing deliveries.
+  sc.walk_advance_weight = 3.0;
+  return sc;
+}
+
+McScenario MakeConfigTruncate() {
+  McScenario sc;
+  sc.name = "config_truncate";
+  sc.cluster = BaseConfig(/*nodes=*/4, /*groups=*/1);
+  CompressFailover(sc.cluster.scatter.paxos);
+  sc.setup_run = Seconds(1);
+  sc.setup = [](McHarness& h) {
+    // Shrink the founding 4-replica group to three; the removed follower
+    // (the last non-leader id) stays up, hosting nothing: the spare.
+    const GroupId group = h.GroupIdAt(0);
+    const NodeId leader = h.LeaderOf(group);
+    SCATTER_CHECK(leader != kInvalidNode);
+    NodeId spare = kInvalidNode;
+    for (NodeId id : h.cluster().live_node_ids()) {
+      if (id != leader) {
+        spare = id;
+      }
+    }
+    SCATTER_CHECK(h.ProposeConfigChange(
+        group, paxos::ConfigCommand::Op::kRemoveMember, spare));
+    h.cluster().RunFor(Millis(300));
+    SCATTER_CHECK(h.cluster().node(spare)->GroupReplica(group) == nullptr);
+  };
+  sc.on_start = [](McHarness& h) {
+    // The leader appends the add-member entry; its Accepts are captured,
+    // so the explorer decides whether the change commits or the leader is
+    // cut off first and a new leader overwrites the slot.
+    const GroupId group = h.GroupIdAt(0);
+    for (NodeId id : h.cluster().live_node_ids()) {
+      if (h.cluster().node(id)->GroupReplica(group) == nullptr) {
+        SCATTER_CHECK(h.ProposeConfigChange(
+            group, paxos::ConfigCommand::Op::kAddMember, id));
+      }
+    }
+  };
+  sc.partition_islands = IsolateLeader;
   sc.walk_advance_weight = 3.0;
   return sc;
 }
@@ -266,6 +310,8 @@ McScenario MakeScenario(const std::string& name) {
     sc = MakeCrashDisk();
   } else if (base == "crash_amnesia") {
     sc = MakeCrashAmnesia();
+  } else if (base == "config_truncate") {
+    sc = MakeConfigTruncate();
   } else {
     SCATTER_CHECK(false && "unknown mc scenario");
   }
@@ -280,6 +326,8 @@ McScenario MakeScenario(const std::string& name) {
         sc.cluster.scatter.txn.bug_drop_resent_prepare_payload = true;
       } else if (base == "bootstrap_wedge") {
         sc.cluster.scatter.paxos.bug_skip_bootstrap_joiner = true;
+      } else if (base == "config_truncate") {
+        sc.cluster.scatter.paxos.bug_stale_config_after_truncate = true;
       } else {
         SCATTER_CHECK(false && "scenario has no mutation variant");
       }
@@ -299,7 +347,9 @@ std::vector<std::string> ScenarioNames() {
           "bootstrap_wedge",
           "bootstrap_wedge+mutation",
           "crash_disk",
-          "crash_amnesia"};
+          "crash_amnesia",
+          "config_truncate",
+          "config_truncate+mutation"};
 }
 
 }  // namespace scatter::mc

@@ -82,7 +82,7 @@ struct PaxosConfig {
 
   // --- Seeded bugs (test-only; never enable outside tests) ----------------
   // Known-bug mutations the model checker's mutation tests re-introduce to
-  // prove the explorer finds them (tests/mc_mutation_test.cc). Both default
+  // prove the explorer finds them (tests/mc_mutation_test.cc). All default
   // to off and must stay off in production configurations.
   //
   // An acceptor takes a "fast path" that appends a batch cleanly extending
@@ -95,6 +95,9 @@ struct PaxosConfig {
   // replica wedges, because the appended config entry already counts the
   // joiner toward its own quorum.
   bool bug_skip_bootstrap_joiner = false;
+  // Log::TruncateSuffix keeps the config entries it drops indexed, so a
+  // replica keeps counting quorum with a truncated config change.
+  bool bug_stale_config_after_truncate = false;
 };
 
 }  // namespace scatter::paxos

@@ -22,6 +22,12 @@ void Log::Set(uint64_t index, Ballot ballot, CommandPtr command) {
     entries_.emplace_back();  // holes
   }
   LogEntry& slot = entries_[index - first_index_];
+  if (slot.valid() && slot.command->kind == Command::Kind::kConfig) {
+    config_entries_.erase(index);
+  }
+  if (command->kind == Command::Kind::kConfig) {
+    config_entries_[index] = command;
+  }
   slot.index = index;
   slot.ballot = ballot;
   slot.command = std::move(command);
@@ -46,16 +52,23 @@ void Log::TruncatePrefix(uint64_t up_to) {
   if (first_index_ <= up_to) {
     first_index_ = up_to + 1;
   }
+  config_entries_.erase(config_entries_.begin(),
+                        config_entries_.upper_bound(up_to));
 }
 
 void Log::TruncateSuffix(uint64_t from) {
   while (!entries_.empty() && last_index() >= from) {
     entries_.pop_back();
   }
+  if (!bug_stale_config_after_truncate_) {
+    config_entries_.erase(config_entries_.lower_bound(from),
+                          config_entries_.end());
+  }
 }
 
 void Log::ResetToSnapshot(uint64_t last_included_index) {
   entries_.clear();
+  config_entries_.clear();
   first_index_ = last_included_index + 1;
 }
 

@@ -2,12 +2,14 @@
 //
 // Paxos accepts entries per-index independently, so the log may temporarily
 // contain holes (message reordering); commitment and application are
-// contiguous. The log supports prefix truncation after snapshots.
+// contiguous. The log supports prefix truncation after snapshots, and indexes
+// its (rare) config entries so membership is rebuilt without a full scan.
 
 #ifndef SCATTER_SRC_PAXOS_LOG_H_
 #define SCATTER_SRC_PAXOS_LOG_H_
 
 #include <deque>
+#include <map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -27,6 +29,11 @@ struct LogEntry {
 
 class Log {
  public:
+  // The flag is PaxosConfig::bug_stale_config_after_truncate (tests only):
+  // TruncateSuffix then leaves the entries it drops in config_entries().
+  explicit Log(bool bug_stale_config_after_truncate = false)
+      : bug_stale_config_after_truncate_(bug_stale_config_after_truncate) {}
+
   // Index of the first entry retained (1 for a fresh log; > 1 after
   // truncation). Entries below first_index() live only in the snapshot.
   uint64_t first_index() const { return first_index_; }
@@ -64,10 +71,17 @@ class Log {
 
   size_t SlotCount() const { return entries_.size(); }
 
+  // The command of every present config entry, keyed by index.
+  const std::map<uint64_t, CommandPtr>& config_entries() const {
+    return config_entries_;
+  }
+
  private:
+  bool bug_stale_config_after_truncate_ = false;
   uint64_t first_index_ = 1;
   // Slot i holds the entry for index first_index_ + i; invalid() = hole.
   std::deque<LogEntry> entries_;
+  std::map<uint64_t, CommandPtr> config_entries_;
 };
 
 }  // namespace scatter::paxos

@@ -51,6 +51,8 @@ Replica::Stats::Stats(obs::MetricsRegistry& registry, NodeId node,
       accepts_sent(registry.GetCounter("paxos.accepts_sent", node, group)),
       accept_entries_sent(
           registry.GetCounter("paxos.accept_entries_sent", node, group)),
+      empty_accepts_sent(
+          registry.GetCounter("paxos.empty_accepts_sent", node, group)),
       acks_sent(registry.GetCounter("paxos.acks_sent", node, group)),
       acks_coalesced(registry.GetCounter("paxos.acks_coalesced", node, group)),
       messages_sent(registry.GetCounter("paxos.messages_sent", node, group)),
@@ -493,6 +495,13 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
   auto reply = std::make_shared<AcceptedMsg>(group_);
   reply->ballot = m.ballot;
   reply->leader_sent_at = m.sent_at;
+  // Rejects the Accept; the leader resends from need_from (0: snapshot).
+  const auto nack = [&](uint64_t need_from) {
+    reply->need_from = need_from;
+    reply->promised = promised_;
+    stats_.acks_sent++;
+    Send(m.from, std::move(reply));
+  };
 
   if (m.ballot < promised_) {
     if (cfg_.bug_accept_stale_ballot && started_ &&
@@ -514,10 +523,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
       QueueAck(m.from, m.ballot, m.prev_index + m.entries.size(), m.sent_at);
       return;
     }
-    reply->ok = false;
-    reply->promised = promised_;
-    stats_.acks_sent++;
-    Send(m.from, std::move(reply));
+    nack(0);
     return;
   }
 
@@ -532,12 +538,8 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
   lease_until_ = sim_->now() + cfg_.lease_duration;
 
   if (!started_) {
-    // Joiner with no state yet: ask for a snapshot (need_from == 0).
-    reply->ok = false;
-    reply->need_from = 0;
-    reply->promised = promised_;
-    stats_.acks_sent++;
-    Send(m.from, std::move(reply));
+    // Joiner with no state yet: ask for a snapshot.
+    nack(0);
     return;
   }
 
@@ -560,11 +562,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
     // and resends, and flush any pending ack first so it cannot arrive
     // after (and be masked by) this nack's resend.
     FlushAck();
-    reply->ok = false;
-    reply->need_from = last_log_index() + 1;
-    reply->promised = promised_;
-    stats_.acks_sent++;
-    Send(m.from, std::move(reply));
+    nack(last_log_index() + 1);
     return;
   }
   if (prev_index == m.prev_index && BallotAt(prev_index) != m.prev_ballot) {
@@ -575,11 +573,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
     JournalTruncateSuffix(prev_index);
     RecomputeVotingConfig();
     FlushAck();
-    reply->ok = false;
-    reply->need_from = prev_index;
-    reply->promised = promised_;
-    stats_.acks_sent++;
-    Send(m.from, std::move(reply));
+    nack(prev_index);
     return;
   }
 
@@ -907,6 +901,7 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
   m->commit_index = commit_index_;
   m->sent_at = sim_->now();
   stats_.accepts_sent++;
+  stats_.empty_accepts_sent++;
   peer.last_sent_commit = commit_index_;
   Send(peer_id, std::move(m));
 }
@@ -1512,39 +1507,23 @@ void Replica::ApplyConfig(const ConfigCommand& cmd, uint64_t index) {
 }
 
 void Replica::RecomputeVotingConfig() {
-  std::vector<NodeId> config = snap_config_;
-  uint64_t config_index = snap_config_index_;
-  for (uint64_t i = log_.first_index(); i <= log_.last_index(); ++i) {
-    const LogEntry* e = log_.At(i);
-    if (e == nullptr || e->command->kind != Command::Kind::kConfig) {
-      continue;
-    }
-    const auto& cc = static_cast<const ConfigCommand&>(*e->command);
-    if (cc.op == ConfigCommand::Op::kAddMember) {
-      if (std::count(config.begin(), config.end(), cc.node) == 0) {
-        config.push_back(cc.node);
-      }
-    } else {
-      config.erase(std::remove(config.begin(), config.end(), cc.node),
-                   config.end());
-    }
-    config_index = i;
-  }
-  config_ = std::move(config);
-  config_index_ = config_index;
+  config_ = ConfigThrough(log_.last_index(), &config_index_);
 }
 
 std::vector<NodeId> Replica::applied_config() const {
-  // Reconstruct membership as of applied_index_: snapshot config plus all
-  // applied config deltas still in the log.
+  uint64_t config_index = 0;
+  return ConfigThrough(applied_index_, &config_index);
+}
+
+std::vector<NodeId> Replica::ConfigThrough(uint64_t through,
+                                           uint64_t* config_index) const {
   std::vector<NodeId> config = snap_config_;
-  for (uint64_t i = log_.first_index();
-       i <= std::min(applied_index_, log_.last_index()); ++i) {
-    const LogEntry* e = log_.At(i);
-    if (e == nullptr || e->command->kind != Command::Kind::kConfig) {
-      continue;
+  *config_index = snap_config_index_;
+  for (const auto& [index, command] : log_.config_entries()) {
+    if (index > through) {
+      break;
     }
-    const auto& cc = static_cast<const ConfigCommand&>(*e->command);
+    const auto& cc = static_cast<const ConfigCommand&>(*command);
     if (cc.op == ConfigCommand::Op::kAddMember) {
       if (std::count(config.begin(), config.end(), cc.node) == 0) {
         config.push_back(cc.node);
@@ -1553,6 +1532,7 @@ std::vector<NodeId> Replica::applied_config() const {
       config.erase(std::remove(config.begin(), config.end(), cc.node),
                    config.end());
     }
+    *config_index = index;
   }
   return config;
 }
@@ -1567,30 +1547,10 @@ void Replica::MaybeTruncateLog() {
   // as of new_base, which equals the applied config because new_base <=
   // applied_index_ and config entries in (new_base, applied] are re-derived
   // from the log by applied_config().
-  std::vector<NodeId> base_config = snap_config_;
-  uint64_t base_config_index = snap_config_index_;
-  for (uint64_t i = log_.first_index(); i <= new_base; ++i) {
-    const LogEntry* e = log_.At(i);
-    if (e == nullptr || e->command->kind != Command::Kind::kConfig) {
-      continue;
-    }
-    const auto& cc = static_cast<const ConfigCommand&>(*e->command);
-    if (cc.op == ConfigCommand::Op::kAddMember) {
-      if (std::count(base_config.begin(), base_config.end(), cc.node) == 0) {
-        base_config.push_back(cc.node);
-      }
-    } else {
-      base_config.erase(
-          std::remove(base_config.begin(), base_config.end(), cc.node),
-          base_config.end());
-    }
-    base_config_index = i;
-  }
+  snap_config_ = ConfigThrough(new_base, &snap_config_index_);
   log_.TruncatePrefix(new_base);
   snap_base_index_ = new_base;
   snap_base_ballot_ = base_ballot;
-  snap_config_ = std::move(base_config);
-  snap_config_index_ = base_config_index;
   if (journal_ != nullptr) {
     // Periodic durable checkpoint, piggybacked on in-memory truncation. The
     // on-disk base is the applied index (what TakeSnapshot captures) —

@@ -148,6 +148,8 @@ class Replica {
   // The raw accepted log (read-only; the invariant auditor compares
   // committed slots across replicas through this).
   const Log& log() const { return log_; }
+  // Membership as of the snapshot base (members() folds the log onto it).
+  const std::vector<NodeId>& snapshot_config() const { return snap_config_; }
   Ballot promised() const { return promised_; }
   bool has_started() const { return started_; }
   // True while the leader's lease covers local reads right now.
@@ -219,11 +221,12 @@ class Replica {
     Counter& barrier_reads;
     Counter& proposals_failed;
     // Commit-path batching/pipelining visibility (bench reports derive
-    // avg batch = accept_entries_sent / accepts_sent and
-    // messages-per-committed-op = messages_sent / entries_committed).
+    // avg batch = accept_entries_sent / (accepts_sent - empty_accepts_sent)
+    // and messages-per-committed-op = messages_sent / entries_committed).
     Counter& accept_broadcasts;    // flush sweeps over all peers
     Counter& accepts_sent;         // AcceptMsgs sent (incl. empty)
     Counter& accept_entries_sent;  // log entries carried by them
+    Counter& empty_accepts_sent;   // AcceptMsgs sent with no entry
     Counter& acks_sent;            // AcceptedMsgs actually sent
     Counter& acks_coalesced;       // acks merged into a pending one
     Counter& messages_sent;        // every outgoing protocol message
@@ -356,6 +359,11 @@ class Replica {
   void MaybeTruncateLog();
   // Membership as of applied_index_ (what a snapshot taken now would carry).
   std::vector<NodeId> applied_config() const;
+  // Membership as of log index `through`: the snapshot config plus the log's
+  // config entries up to `through`. *config_index gets the index of the last
+  // entry folded in, or the snapshot config's index if there is none.
+  std::vector<NodeId> ConfigThrough(uint64_t through,
+                                    uint64_t* config_index) const;
   size_t QuorumSize() const { return config_.size() / 2 + 1; }
   bool LogUpToDate(uint64_t last_index, Ballot last_ballot) const;
   void ResetElectionTimer();
@@ -379,7 +387,7 @@ class Replica {
 
   // Durable-equivalent state.
   Ballot promised_;
-  Log log_;
+  Log log_{cfg_.bug_stale_config_after_truncate};
   uint64_t snap_base_index_ = 0;
   Ballot snap_base_ballot_;
 

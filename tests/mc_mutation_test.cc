@@ -1,5 +1,5 @@
-// The model checker's validation experiment (ISSUE: three seeded bugs,
-// each reintroduced behind a test-only flag, must be found by the explorer
+// The model checker's validation experiment (seeded bugs, each
+// reintroduced behind a test-only flag, must be found by the explorer
 // within a bounded budget that random simulation does not match):
 //
 //   stale_ballot+mutation    — bug_accept_stale_ballot: an acceptor takes
@@ -15,6 +15,12 @@
 //                              config change commits on a bare quorum with
 //                              an un-bootstrapped joiner. Found by
 //                              delay-bounded DFS; the liveness probe fails.
+//   config_truncate+mutation — bug_stale_config_after_truncate: the log
+//                              keeps a truncated config entry in its config
+//                              index, so the old leader keeps a member its
+//                              log no longer adds. Found by the walk; the
+//                              paxos auditor property's full-scan fold of
+//                              the log disagrees with members().
 //
 // Budgets below are the documented detection budgets (see DESIGN.md §10);
 // each is a few times the empirically observed cost, so the tests stay
@@ -96,6 +102,19 @@ TEST(McMutationTest, DelayBoundedFindsBootstrapWedge) {
   ExpectDeterministicReplay(stats);
 }
 
+TEST(McMutationTest, WalkFindsStaleConfigAfterTruncate) {
+  McOptions options = BaseOptions();
+  options.strategy.max_depth = 40;
+  options.max_schedules = 200;
+  const ExploreStats stats =
+      Explore("config_truncate+mutation", StrategyKind::kRandomWalk, options);
+  ASSERT_TRUE(stats.violation_found)
+      << "budget: 200 walks at depth 40, seed 1";
+  EXPECT_EQ(stats.counterexample.violation.source, "auditor");
+  EXPECT_EQ(stats.counterexample.violation.checker, "paxos");
+  ExpectDeterministicReplay(stats);
+}
+
 // The unmutated scenarios must survive the same adversarial budgets: a
 // detector that also fires on correct code is useless.
 TEST(McMutationTest, CleanVariantsStayClean) {
@@ -128,6 +147,17 @@ TEST(McMutationTest, CleanVariantsStayClean) {
     options.max_schedules = 20000;
     const ExploreStats stats =
         Explore("bootstrap_wedge", StrategyKind::kDelayBounded, options);
+    EXPECT_FALSE(stats.violation_found)
+        << stats.counterexample.violation.source << "/"
+        << stats.counterexample.violation.checker << ": "
+        << stats.counterexample.violation.detail;
+  }
+  {
+    McOptions options = BaseOptions();
+    options.strategy.max_depth = 40;
+    options.max_schedules = 1000;
+    const ExploreStats stats =
+        Explore("config_truncate", StrategyKind::kRandomWalk, options);
     EXPECT_FALSE(stats.violation_found)
         << stats.counterexample.violation.source << "/"
         << stats.counterexample.violation.checker << ": "

@@ -2,10 +2,12 @@
 // crashes, partitions, message loss, membership changes, leases, snapshots.
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/random.h"
 #include "tests/paxos_harness.h"
 
 namespace scatter::paxos {
@@ -96,6 +98,131 @@ TEST(LogTest, SuffixSkipsHoles) {
   ASSERT_EQ(suffix.size(), 2u);
   EXPECT_EQ(suffix[0].index, 1u);
   EXPECT_EQ(suffix[1].index, 3u);
+}
+
+// --- Config index ------------------------------------------------------------
+
+CommandPtr AddMember(NodeId node) {
+  return std::make_shared<ConfigCommand>(ConfigCommand::Op::kAddMember, node);
+}
+
+std::vector<uint64_t> ConfigIndices(const Log& log) {
+  std::vector<uint64_t> out;
+  for (const auto& [index, command] : log.config_entries()) {
+    out.push_back(index);
+  }
+  return out;
+}
+
+// The index must hold exactly the config slots a full scan of At() finds,
+// with the same command objects.
+::testing::AssertionResult IndexMatchesScan(const Log& log) {
+  std::map<uint64_t, CommandPtr> scanned;
+  for (uint64_t i = log.first_index(); i <= log.last_index(); ++i) {
+    const LogEntry* e = log.At(i);
+    if (e != nullptr && e->command->kind == Command::Kind::kConfig) {
+      scanned[i] = e->command;
+    }
+  }
+  if (scanned != log.config_entries()) {
+    return ::testing::AssertionFailure()
+           << "config index has " << log.config_entries().size()
+           << " entries, a scan of [" << log.first_index() << ", "
+           << log.last_index() << "] finds " << scanned.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(LogConfigIndexTest, AppendIndexesOnlyConfigEntries) {
+  Log log;
+  log.Set(1, Ballot{1, 1}, std::make_shared<NoOpCommand>());
+  log.Set(2, Ballot{1, 1}, AddMember(7));
+  log.Set(3, Ballot{1, 1}, std::make_shared<SeqCommand>(3));
+  log.Set(4, Ballot{1, 1}, AddMember(8));
+  EXPECT_EQ(ConfigIndices(log), (std::vector<uint64_t>{2, 4}));
+  EXPECT_EQ(log.config_entries().at(4), log.At(4)->command);
+  EXPECT_TRUE(IndexMatchesScan(log));
+}
+
+TEST(LogConfigIndexTest, HolesKeepIndexSorted) {
+  Log log;
+  log.Set(5, Ballot{1, 1}, AddMember(7));
+  log.Set(2, Ballot{1, 1}, AddMember(8));
+  log.Set(3, Ballot{1, 1}, std::make_shared<NoOpCommand>());
+  EXPECT_EQ(ConfigIndices(log), (std::vector<uint64_t>{2, 5}));
+  EXPECT_EQ(log.At(4), nullptr);
+  EXPECT_TRUE(IndexMatchesScan(log));
+}
+
+TEST(LogConfigIndexTest, OverwriteTracksKindChanges) {
+  Log log;
+  log.Set(1, Ballot{1, 1}, AddMember(7));
+  log.Set(2, Ballot{1, 1}, std::make_shared<NoOpCommand>());
+  // config -> data: the slot leaves the index.
+  log.Set(1, Ballot{2, 2}, std::make_shared<NoOpCommand>());
+  EXPECT_TRUE(log.config_entries().empty());
+  // data -> config (the CorruptCommittedEntryForTest path): it joins.
+  log.Set(2, Ballot{2, 2}, AddMember(9));
+  EXPECT_EQ(ConfigIndices(log), (std::vector<uint64_t>{2}));
+  // config -> config: the index follows the new command.
+  const CommandPtr replacement = AddMember(10);
+  log.Set(2, Ballot{3, 1}, replacement);
+  EXPECT_EQ(log.config_entries().at(2), replacement);
+  EXPECT_TRUE(IndexMatchesScan(log));
+}
+
+TEST(LogConfigIndexTest, TruncationsAndResetDropEntries) {
+  Log log;
+  for (uint64_t i = 1; i <= 10; ++i) {
+    log.Set(i, Ballot{1, 1},
+            i % 3 == 0 ? AddMember(NodeId(i))
+                       : CommandPtr(std::make_shared<NoOpCommand>()));
+  }
+  EXPECT_EQ(ConfigIndices(log), (std::vector<uint64_t>{3, 6, 9}));
+  log.TruncatePrefix(3);
+  EXPECT_EQ(ConfigIndices(log), (std::vector<uint64_t>{6, 9}));
+  log.TruncateSuffix(9);
+  EXPECT_EQ(ConfigIndices(log), (std::vector<uint64_t>{6}));
+  EXPECT_TRUE(IndexMatchesScan(log));
+  log.ResetToSnapshot(20);
+  EXPECT_TRUE(log.config_entries().empty());
+  log.Set(21, Ballot{2, 1}, AddMember(4));
+  EXPECT_EQ(ConfigIndices(log), (std::vector<uint64_t>{21}));
+}
+
+TEST(LogConfigIndexTest, SeededBugKeepsTruncatedConfigEntries) {
+  Log log(/*bug_stale_config_after_truncate=*/true);
+  log.Set(1, Ballot{1, 1}, std::make_shared<NoOpCommand>());
+  log.Set(2, Ballot{1, 1}, AddMember(7));
+  log.TruncateSuffix(2);
+  log.Set(2, Ballot{2, 2}, std::make_shared<NoOpCommand>());
+  EXPECT_EQ(ConfigIndices(log), (std::vector<uint64_t>{2}));
+  EXPECT_FALSE(IndexMatchesScan(log));
+}
+
+TEST(LogConfigIndexTest, RandomizedOperationsMatchFullScan) {
+  Rng rng(20260417);
+  Log log;
+  for (int step = 0; step < 5000; ++step) {
+    const uint64_t first = log.first_index();
+    const uint64_t last = log.last_index();
+    const uint64_t op = rng.Below(20);
+    if (op < 14) {
+      // Appends, overwrites and holes, config or not.
+      const uint64_t index = first + rng.Below(last - first + 4);
+      const CommandPtr command =
+          rng.Bernoulli(0.3) ? AddMember(NodeId(1 + rng.Below(5)))
+                             : CommandPtr(std::make_shared<NoOpCommand>());
+      log.Set(index, Ballot{rng.Below(4), 1}, command);
+    } else if (op < 17) {
+      log.TruncateSuffix(first + rng.Below(last - first + 2));
+    } else if (op < 19) {
+      log.TruncatePrefix(first - 1 + rng.Below(last - first + 2));
+    } else {
+      log.ResetToSnapshot(last + rng.Below(3));
+    }
+    ASSERT_TRUE(IndexMatchesScan(log)) << "after step " << step;
+  }
 }
 
 // --- Elections -------------------------------------------------------------
@@ -348,6 +475,88 @@ TEST(PaxosMembershipTest, AddMemberAtBareQuorumBootstrapsJoiner) {
   EXPECT_TRUE(cluster.PrefixConsistent());
 }
 
+TEST(PaxosMembershipTest, TruncatedUncommittedAddMemberReverts) {
+  PaxosCluster cluster(5);
+  PaxosTestNode* l1 = cluster.WaitForLeader();
+  ASSERT_NE(l1, nullptr);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  cluster.sim().RunFor(Seconds(1));  // every log ends at the same index
+  const std::vector<NodeId> founding = l1->replica().members();
+
+  // The leader and one follower form a minority; the add-member entry they
+  // accept cannot reach the 4-of-6 quorum it needs.
+  const NodeId old_leader = l1->id();
+  NodeId follower = kInvalidNode;
+  std::vector<NodeId> majority;
+  for (PaxosTestNode* n : cluster.live_nodes()) {
+    if (n->id() == old_leader) {
+      continue;
+    }
+    if (follower == kInvalidNode) {
+      follower = n->id();
+    } else {
+      majority.push_back(n->id());
+    }
+  }
+  cluster.net().Partition({{old_leader, follower}, majority});
+  l1->replica().ProposeConfigChange(ConfigCommand::Op::kAddMember, 10,
+                                    [](StatusOr<uint64_t>) {});
+  cluster.sim().RunFor(Millis(100));
+  const Replica& f = cluster.node(follower)->replica();
+  ASSERT_EQ(f.log().config_entries().size(), 1u);
+  const uint64_t config_slot = f.log().config_entries().begin()->first;
+  EXPECT_GT(config_slot, f.commit_index());
+  EXPECT_EQ(std::count(f.members().begin(), f.members().end(), NodeId{10}),
+            1);
+  EXPECT_EQ(f.AppliedConfig(), founding);  // the entry is not applied yet
+
+  // The majority elects a leader that fills the slot with its own entries;
+  // after the heal the follower truncates the add-member entry.
+  cluster.sim().RunFor(Seconds(3));
+  ASSERT_TRUE(cluster.ProposeAndWait(2));
+  ASSERT_NE(cluster.leader()->id(), old_leader);
+  cluster.net().HealPartition();
+  ASSERT_TRUE(cluster.ProposeAndWait(3));
+  cluster.sim().RunFor(Seconds(1));
+  ASSERT_GE(f.commit_index(), config_slot);
+  EXPECT_NE(f.log().At(config_slot)->command->kind, Command::Kind::kConfig);
+  EXPECT_TRUE(f.log().config_entries().empty());
+  EXPECT_EQ(f.members(), founding);
+  EXPECT_EQ(cluster.node(old_leader)->replica().members(), founding);
+}
+
+TEST(PaxosMembershipTest, LogTruncationFoldsConfigIntoSnapshotConfig) {
+  PaxosConfig config;
+  config.log_retention = 4;
+  PaxosCluster cluster(3, /*seed=*/1, config);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  cluster.Spawn(10);
+  ASSERT_TRUE(cluster.AddMemberAndWait(10));
+  cluster.sim().RunFor(Seconds(1));
+  PaxosTestNode* l = cluster.leader();
+  ASSERT_NE(l, nullptr);
+  const Replica& r = l->replica();
+  ASSERT_EQ(r.log().config_entries().size(), 1u);
+  const uint64_t config_slot = r.log().config_entries().begin()->first;
+  const std::vector<NodeId> members = r.members();
+  const std::vector<NodeId> applied = r.AppliedConfig();
+  EXPECT_EQ(members.size(), 4u);
+  EXPECT_EQ(applied, members);
+  EXPECT_EQ(std::count(r.snapshot_config().begin(), r.snapshot_config().end(),
+                       NodeId{10}),
+            0);
+
+  // Enough commits that the truncation base passes the config slot.
+  for (uint64_t v = 2; r.log().first_index() <= config_slot; ++v) {
+    ASSERT_LT(v, 100u) << "the log was never truncated past the config entry";
+    ASSERT_TRUE(cluster.ProposeAndWait(v));
+  }
+  EXPECT_TRUE(r.log().config_entries().empty());
+  EXPECT_EQ(r.snapshot_config(), members);
+  EXPECT_EQ(r.members(), members);
+  EXPECT_EQ(r.AppliedConfig(), applied);
+}
+
 TEST(PaxosMembershipTest, FailureDetectorFlagsSilentMember) {
   PaxosConfig cfg;
   cfg.member_fail_timeout = Seconds(2);
@@ -596,6 +805,7 @@ TEST(PaxosBatchingTest, SameTurnProposalsShareOneBroadcast) {
   cluster.sim().RunFor(Millis(200));  // quiesce election traffic
 
   const uint64_t accepts_before = l->replica().stats().accepts_sent;
+  const uint64_t empty_before = l->replica().stats().empty_accepts_sent;
   const uint64_t entries_before = l->replica().stats().accept_entries_sent;
   constexpr int kOps = 32;
   int committed = 0;
@@ -621,6 +831,31 @@ TEST(PaxosBatchingTest, SameTurnProposalsShareOneBroadcast) {
   // broadcasts (128 Accepts) an unbatched leader would send.
   EXPECT_GE(entries, 4u * kOps);
   EXPECT_LE(accepts, 24u);
+  // Commit notifications are the empty ones; every other Accept carries a
+  // batch of at least one entry.
+  const uint64_t empty =
+      l->replica().stats().empty_accepts_sent - empty_before;
+  EXPECT_LT(empty, accepts);
+  EXPECT_GE(entries, accepts - empty);
+}
+
+// An idle leader's heartbeats are Accepts with no entries: they count in
+// accepts_sent and, all of them, in empty_accepts_sent.
+TEST(PaxosBatchingTest, IdleHeartbeatsAreEmptyAccepts) {
+  PaxosCluster cluster(3, 23);
+  PaxosTestNode* l = cluster.WaitForLeader();
+  ASSERT_NE(l, nullptr);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  cluster.sim().RunFor(Millis(200));
+  const auto& stats = l->replica().stats();
+  const uint64_t accepts_before = stats.accepts_sent;
+  const uint64_t empty_before = stats.empty_accepts_sent;
+  const uint64_t entries_before = stats.accept_entries_sent;
+  cluster.sim().RunFor(Seconds(2));
+  EXPECT_GT(stats.accepts_sent - accepts_before, 0u);
+  EXPECT_EQ(stats.empty_accepts_sent - empty_before,
+            stats.accepts_sent - accepts_before);
+  EXPECT_EQ(stats.accept_entries_sent, entries_before);
 }
 
 // A follower cut off while hundreds of entries commit catches up quickly via

@@ -11,6 +11,8 @@
 //   - the durability invariant checker catches post-recovery rewrites of
 //     journaled state.
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,6 +148,45 @@ TEST(RecoveryTest, CrashedReplicaRecoversFromOwnDiskWithoutStateTransfer) {
     ASSERT_TRUE(got.ok()) << "rk" << i << ": " << got.status().ToString();
     EXPECT_EQ(*got, "v" + std::to_string(i));
   }
+}
+
+TEST(RecoveryTest, RecoveredReplicaRebuildsVotingConfig) {
+  Cluster c(PersistedConfig(13));
+  c.RunFor(Seconds(3));
+  // A joiner's add-member entry lands in its group's log (and WAL).
+  const NodeId joiner = c.SpawnNode();
+  c.RunFor(Seconds(5));
+  ASSERT_FALSE(c.node(joiner)->ServingGroups().empty());
+  const GroupId gid = c.node(joiner)->ServingGroups().front()->id();
+
+  NodeId victim = kInvalidNode;
+  for (NodeId id : c.live_node_ids()) {
+    if (id != joiner && c.node(id)->GroupReplica(gid) != nullptr) {
+      victim = id;
+      break;
+    }
+  }
+  ASSERT_NE(victim, kInvalidNode);
+  std::map<GroupId, std::vector<NodeId>> before;
+  for (const auto* sm : c.node(victim)->ServingGroups()) {
+    before[sm->id()] = c.node(victim)->GroupReplica(sm->id())->members();
+  }
+  const paxos::Replica* replica = c.node(victim)->GroupReplica(gid);
+  ASSERT_FALSE(replica->log().config_entries().empty())
+      << "the add-member entry must still be in the log, so recovery "
+      << "rebuilds the config from replayed entries";
+  EXPECT_EQ(std::count(before[gid].begin(), before[gid].end(), joiner), 1);
+
+  c.CrashNode(victim);
+  ASSERT_EQ(c.RestartNode(victim), before.size());
+  for (const auto& [group, members] : before) {
+    const paxos::Replica* recovered = c.node(victim)->GroupReplica(group);
+    ASSERT_NE(recovered, nullptr);
+    EXPECT_TRUE(recovered->recovery_floor().recovered);
+    EXPECT_EQ(recovered->members(), members) << "g" << group;
+  }
+  EXPECT_FALSE(
+      c.node(victim)->GroupReplica(gid)->log().config_entries().empty());
 }
 
 TEST(RecoveryTest, GroupCommitBatchesFsyncs) {
