@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/common/hash.h"
@@ -84,7 +85,6 @@ ScatterNode::Hosted* ScatterNode::WireHosted(GroupId group) {
       simulator(), this, h.replica.get(), h.sm.get(), cfg_.txn);
   h.load = std::make_unique<store::GroupLoadStats>(&simulator()->metrics(),
                                                    id(), group);
-  h.load->SetRange(h.sm->range());
   last_hosted_at_ = now();
   simulator()->metrics().GetGauge("core.hosted_groups", id()).Add(1);
   return &h;
@@ -138,9 +138,6 @@ size_t ScatterNode::RecoverFromDisk() {
     Hosted* h = FindHosted(gid);
     SCATTER_CHECK(h != nullptr);
     replay_entries += h->replica->ReplayRecovered();
-    if (h->load != nullptr) {
-      h->load->SetRange(h->sm->range());  // Replay may have moved the arc.
-    }
     duration.Record(static_cast<int64_t>(now() - started));
     active.Add(-1);
   }
@@ -204,7 +201,7 @@ GroupInfo ScatterNode::SelfInfo(const Hosted& hosted) const {
   info.key_count = hosted.sm->state().data.size();
   info.has_key_count = true;
   if (hosted.replica->is_leader()) {
-    info.op_rate = hosted.op_rate;
+    info.op_rate = hosted.load->op_rate();
     info.has_op_rate = true;
   }
   return info;
@@ -362,15 +359,8 @@ void ScatterNode::OnGroupsFounded(GroupId retired,
 }
 
 void ScatterNode::OnStructuralChange(GroupId group) {
-  if (Hosted* h = FindHosted(group); h != nullptr) {
-    if (h->load != nullptr) {
-      // Splits/merges/repartitions change the arc; the sub-range buckets
-      // must re-divide the new responsibility.
-      h->load->SetRange(h->sm->range());
-    }
-    if (h->driver != nullptr) {
-      h->driver->Poke();
-    }
+  if (Hosted* h = FindHosted(group); h != nullptr && h->driver != nullptr) {
+    h->driver->Poke();
   }
 }
 
@@ -480,10 +470,8 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   }
 
   const GroupId gid = h->sm->id();
-  h->window_ops++;
   const TimeMicros accepted_at = now();
-  h->load->RecordOp(accepted_at, req.key, req.ByteSize(),
-                    /*is_write=*/req.op != ClientOp::kGet);
+  h->load->RecordOp(accepted_at, req.ByteSize());
   // Node-side span: child of the client op's span (restored from the
   // delivered request), parent of the paxos spans the read/write produces.
   obs::TraceRecorder* tr = simulator()->tracer();
@@ -1115,19 +1103,7 @@ void ScatterNode::MaybeRejoin() {
 
 void ScatterNode::RunGroupPolicy(GroupId group, Hosted& hosted) {
   // Fold the window's served ops into the smoothed rate estimate.
-  const TimeMicros window_start =
-      hosted.last_rate_update == 0 ? now() - cfg_.policy.policy_interval
-                                   : hosted.last_rate_update;
-  const double window_s =
-      static_cast<double>(now() - window_start) /
-      static_cast<double>(Seconds(1));
-  if (window_s > 0) {
-    const double instant =
-        static_cast<double>(hosted.window_ops) / window_s;
-    hosted.op_rate = 0.5 * hosted.op_rate + 0.5 * instant;
-  }
-  hosted.window_ops = 0;
-  hosted.last_rate_update = now();
+  hosted.load->TickOpRate(now(), cfg_.policy.policy_interval);
 
   if (!hosted.replica->has_started() || hosted.sm->IsRetired() ||
       !hosted.replica->is_leader()) {
@@ -1210,20 +1186,14 @@ void ScatterNode::MaybeTransferLeadership(GroupId group, Hosted& hosted) {
 Key ScatterNode::PickSplitKey(const Hosted& hosted) const {
   const ring::KeyRange& range = hosted.sm->range();
   if (cfg_.policy.load_aware_split) {
-    // Median stored key: equalizes data, not key-space.
+    // Median stored key, clockwise from range.begin so it respects
+    // wraparound: equalizes data, not key-space.
     const auto& data = hosted.sm->state().data;
-    std::vector<Key> keys;
-    keys.reserve(data.size());
-    // Walk clockwise from range.begin so the median respects wraparound.
-    const store::KvStore in_range = data.ExtractRange(range);
-    for (const auto& [k, v] : in_range.entries()) {
-      keys.push_back(k - range.begin);  // normalize to arc offset
-    }
-    if (keys.size() >= 2) {
-      std::sort(keys.begin(), keys.end());
-      const Key offset = keys[keys.size() / 2];
-      if (offset != 0) {
-        return range.begin + offset;
+    const size_t n = data.CountRange(range);
+    if (n >= 2) {
+      const Key median = *data.KeyAtClockwiseRank(range, n / 2);  // n/2 < n
+      if (median != range.begin) {
+        return median;
       }
     }
   }
@@ -1320,7 +1290,7 @@ void ScatterNode::MaybeRepartition(GroupId group, Hosted& hosted) {
   // fraction toward the successor — under rate balancing the fraction
   // assumes heat roughly tracks keys within our arc, so hot arcs diffuse
   // over a few rounds.
-  const double my_rate = hosted.op_rate;
+  const double my_rate = hosted.load->op_rate();
   const bool use_rate = succ.has_op_rate &&
                         my_rate >= cfg_.policy.repartition_min_rate;
   double mine;
@@ -1340,24 +1310,18 @@ void ScatterNode::MaybeRepartition(GroupId group, Hosted& hosted) {
   const uint64_t keep =
       static_cast<uint64_t>(keep_fraction * static_cast<double>(self_keys));
 
-  const ring::KeyRange& range = hosted.sm->range();
-  std::vector<Key> offsets;
-  offsets.reserve(self_keys);
-  const store::KvStore in_range = data.ExtractRange(range);
-  for (const auto& [k, v] : in_range.entries()) {
-    offsets.push_back(k - range.begin);
-  }
-  std::sort(offsets.begin(), offsets.end());
-  if (keep >= offsets.size() || keep == 0) {
+  if (keep == 0) {
     return;
   }
-  const Key boundary = range.begin + offsets[keep];
-  if (boundary == range.begin || !range.Contains(boundary)) {
+  // The first key handed over: rank `keep` clockwise from range.begin.
+  const ring::KeyRange& range = hosted.sm->range();
+  const std::optional<Key> boundary = data.KeyAtClockwiseRank(range, keep);
+  if (!boundary.has_value() || *boundary == range.begin) {
     return;
   }
   stats_.repartitions_initiated++;
   hosted.last_repartition = now();
-  hosted.driver->StartRepartition(succ, boundary, NewUniqueId(),
+  hosted.driver->StartRepartition(succ, *boundary, NewUniqueId(),
                                   [](Status) {});
 }
 
@@ -1468,11 +1432,6 @@ const paxos::Replica* ScatterNode::GroupReplica(GroupId id) const {
 const txn::GroupOpDriver* ScatterNode::GroupDriver(GroupId id) const {
   auto it = hosted_.find(id);
   return it == hosted_.end() ? nullptr : it->second.driver.get();
-}
-
-const store::GroupLoadStats* ScatterNode::GroupLoad(GroupId id) const {
-  auto it = hosted_.find(id);
-  return it == hosted_.end() ? nullptr : it->second.load.get();
 }
 
 paxos::Replica* ScatterNode::MutableGroupReplicaForTest(GroupId id) {

@@ -82,8 +82,6 @@ class ScatterNode : public rpc::RpcNode,
   const paxos::Replica* GroupReplica(GroupId id) const;
   // The structural-op driver of a hosted group (auditor introspection).
   const txn::GroupOpDriver* GroupDriver(GroupId id) const;
-  // Windowed load accounting of a hosted group (tests, scatter-top live mode).
-  const store::GroupLoadStats* GroupLoad(GroupId id) const;
   const ring::RingMap& ring_cache() const { return ring_; }
   bool HostsAnyGroup() const;
 
@@ -137,19 +135,14 @@ class ScatterNode : public rpc::RpcNode,
     // and the load stats — then the driver, then the state machine, then
     // the load stats.
     //
-    // Windowed op/byte/sub-range accounting in the metrics registry; the
-    // range is re-pointed on every structural change.
+    // Windowed op/byte accounting in the metrics registry, and the smoothed
+    // op rate the policy engine reads (leader only).
     std::unique_ptr<store::GroupLoadStats> load;
     std::unique_ptr<membership::GroupStateMachine> sm;
     std::unique_ptr<txn::GroupOpDriver> driver;
     std::unique_ptr<paxos::Replica> replica;
     bool teardown_scheduled = false;
     TimeMicros last_neighbor_refresh = 0;
-    // Load tracking for the policy engine (leader only): ops served in the
-    // current policy window, and the smoothed rate.
-    uint64_t window_ops = 0;
-    double op_rate = 0.0;
-    TimeMicros last_rate_update = 0;
     TimeMicros last_repartition = 0;
     TimeMicros leadership_since = 0;
   };

@@ -237,10 +237,8 @@ class Replica {
     obs::Gauge& is_leader;          // 1 while this replica leads
     obs::Gauge& proposals_pending;  // accepted-not-yet-applied proposals
     obs::Gauge& snapshots_inflight; // unacked snapshot transfers (leader)
-    // Rate windows feeding the obs timeline and load-adaptive policies.
-    obs::SlidingWindow& window_commits;       // entries committed
-    obs::SlidingWindow& window_commit_bytes;  // command bytes applied
-    obs::SlidingWindow& window_elections;     // elections started
+    // Commit-rate window the obs timeline reads.
+    obs::SlidingWindow& window_commits;  // entries committed
   };
   const Stats& stats() const { return stats_; }
 

@@ -26,8 +26,9 @@ struct GroupInfo {
   // load-balancing policy decisions. Valid only when has_key_count.
   uint64_t key_count = 0;
   bool has_key_count = false;
-  // Client operations per second served by the group's leader (EWMA over
-  // policy windows). Valid only when has_op_rate.
+  // Client operations per second accepted by the group's leader, smoothed
+  // over policy ticks from its store.window.ops (store::GroupLoadStats).
+  // Valid only when has_op_rate.
   double op_rate = 0.0;
   bool has_op_rate = false;
 

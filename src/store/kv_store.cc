@@ -89,6 +89,30 @@ size_t KvStore::CountRange(const ring::KeyRange& range) const {
   return n;
 }
 
+std::optional<Key> KvStore::KeyAtClockwiseRank(const ring::KeyRange& range,
+                                               size_t rank) const {
+  // Clockwise from begin: [begin, end) when the arc does not wrap, else
+  // [begin, max] then [0, end) — for the full ring end == begin, so the
+  // second leg is [0, begin).
+  const bool wraps = range.begin >= range.end;
+  const auto first_end =
+      wraps ? entries_.end() : entries_.lower_bound(range.end);
+  for (auto it = entries_.lower_bound(range.begin); it != first_end; ++it) {
+    if (rank-- == 0) {
+      return it->first;
+    }
+  }
+  if (wraps) {
+    for (auto it = entries_.begin();
+         it != entries_.end() && it->first < range.end; ++it) {
+      if (rank-- == 0) {
+        return it->first;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<Key> KvStore::FirstKeyOutside(const ring::KeyRange& range) const {
   if (range.IsFull() || entries_.empty()) {
     return std::nullopt;

@@ -41,6 +41,13 @@ class KvStore {
   // Number of keys in `range`.
   size_t CountRange(const ring::KeyRange& range) const;
 
+  // The stored key at 0-based rank `rank` walking `range` clockwise from
+  // range.begin (wrapping past the top of the key space, also on the full
+  // ring), or nullopt when the arc holds at most `rank` keys. Walks the map
+  // without copying values.
+  std::optional<Key> KeyAtClockwiseRank(const ring::KeyRange& range,
+                                        size_t rank) const;
+
   // Some stored key NOT contained in `range`, or nullopt when every key is.
   // O(log n): only the complement arc's boundaries are probed, so the
   // invariant auditor can assert store/range containment continuously.

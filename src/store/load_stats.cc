@@ -1,63 +1,31 @@
 #include "src/store/load_stats.h"
 
-#include <string>
-
 namespace scatter::store {
 
 GroupLoadStats::GroupLoadStats(obs::MetricsRegistry* registry, NodeId node,
                                GroupId group)
     : ops_(registry->GetWindow("store.window.ops", node, group)),
       bytes_(registry->GetWindow("store.window.bytes", node, group)),
-      writes_(registry->GetWindow("store.window.writes", node, group)),
-      latency_(registry->GetHistogram("store.op.latency_us", node, group)) {
-  for (size_t i = 0; i < kSubranges; ++i) {
-    shard_ops_[i] = &registry->GetWindow(
-        "store.window.shard" + std::to_string(i) + ".ops", node, group);
-  }
-}
+      latency_(registry->GetHistogram("store.op.latency_us", node, group)),
+      ops_at_last_tick_(ops_.total()) {}
 
-size_t GroupLoadStats::SubrangeFor(Key key) const {
-  // Clockwise offset from the arc's begin, scaled into kSubranges equal
-  // slices. Modular subtraction handles wrapping arcs; the full ring is
-  // begin == 0 either way.
-  const uint64_t offset = key - range_.begin;
-  const uint64_t size = range_.Size();
-  const uint64_t slice = size / kSubranges + 1;  // +1: never 0, covers top
-  return static_cast<size_t>(offset / slice) % kSubranges;
-}
-
-Key GroupLoadStats::SubrangeBegin(size_t index) const {
-  const uint64_t slice = range_.Size() / kSubranges + 1;
-  return range_.begin + slice * index;
-}
-
-void GroupLoadStats::RecordOp(int64_t now_us, Key key, uint64_t bytes,
-                              bool is_write) {
+void GroupLoadStats::RecordOp(int64_t now_us, uint64_t bytes) {
   ops_.Record(now_us);
   bytes_.Record(now_us, bytes);
-  if (is_write) {
-    writes_.Record(now_us);
-  }
-  shard_ops_[SubrangeFor(key)]->Record(now_us);
 }
 
-GroupLoadStats::HotSubrange GroupLoadStats::HottestSubrange(
-    int64_t now_us) const {
-  HotSubrange hot;
-  uint64_t total = 0;
-  for (size_t i = 0; i < kSubranges; ++i) {
-    const uint64_t in_window = shard_ops_[i]->TotalInWindow(now_us);
-    total += in_window;
-    if (in_window > hot.ops_in_window) {
-      hot.ops_in_window = in_window;
-      hot.index = i;
-    }
+void GroupLoadStats::TickOpRate(int64_t now_us, int64_t first_interval_us) {
+  const int64_t window_start =
+      last_tick_us_ == 0 ? now_us - first_interval_us : last_tick_us_;
+  const double window_s = static_cast<double>(now_us - window_start) /
+                         static_cast<double>(Seconds(1));
+  if (window_s > 0) {
+    const double instant =
+        static_cast<double>(ops_.total() - ops_at_last_tick_) / window_s;
+    op_rate_ = 0.5 * op_rate_ + 0.5 * instant;
   }
-  if (total > 0) {
-    hot.share =
-        static_cast<double>(hot.ops_in_window) / static_cast<double>(total);
-  }
-  return hot;
+  ops_at_last_tick_ = ops_.total();
+  last_tick_us_ = now_us;
 }
 
 }  // namespace scatter::store

@@ -1,74 +1,52 @@
-// Per-group, per-key-range load accounting: the hot-range signal the
-// load-adaptive split/merge policies read.
+// Per-group load accounting: the one load signal of a hosted group replica.
 //
-// One GroupLoadStats per hosted group replica. Besides whole-group op/byte/
-// write rate windows it buckets ops into kSubranges equal arcs of the
-// group's current key range; a sub-range window running far hotter than its
-// siblings is exactly the "split here, not at the midpoint" signal (Scatter
-// splits track load, not key counts). All cells live in the node's metrics
-// registry, so they merge cluster-wide and export with everything else:
-//   store.window.ops / store.window.bytes / store.window.writes
-//   store.window.shard<i>.ops           (i in [0, kSubranges))
+// One GroupLoadStats per hosted group replica. It counts accepted client ops
+// and their bytes in rate windows, records completion latency, and derives
+// from the ops window the smoothed op rate the repartition policy compares
+// against its successor's. All cells live in the node's metrics registry, so
+// they merge cluster-wide and export with everything else:
+//   store.window.ops / store.window.bytes
 //   store.op.latency_us                 (histogram, completion-recorded)
 
 #ifndef SCATTER_SRC_STORE_LOAD_STATS_H_
 #define SCATTER_SRC_STORE_LOAD_STATS_H_
 
-#include <array>
 #include <cstdint>
 
 #include "src/common/histogram.h"
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
-#include "src/ring/key_range.h"
 
 namespace scatter::store {
 
 class GroupLoadStats {
  public:
-  // Equal key-space subdivisions of the group's range tracked separately.
-  // 8 keeps the signal fine enough to pick a split point one level deeper
-  // than the midpoint while costing only 8 extra windows per group.
-  static constexpr size_t kSubranges = 8;
-
+  // Registry cells outlive a GroupLoadStats (a restarted node re-gets the
+  // same (node, group) cells), so the op rate counts only ops recorded from
+  // construction on.
   GroupLoadStats(obs::MetricsRegistry* registry, NodeId node, GroupId group);
 
-  // The group's current responsibility; re-point after splits/merges (the
-  // sub-range buckets re-divide the new arc; windows keep their history,
-  // which is fine — rates decay within one window span).
-  void SetRange(const ring::KeyRange& range) { range_ = range; }
-  const ring::KeyRange& range() const { return range_; }
-
   // Accounts one accepted client op at simulated time `now_us`.
-  void RecordOp(int64_t now_us, Key key, uint64_t bytes, bool is_write);
+  void RecordOp(int64_t now_us, uint64_t bytes);
 
   // Completion-side latency (accept-to-apply, microseconds).
   void RecordLatency(int64_t latency_us) { latency_.Record(latency_us); }
 
-  // Index of the sub-range with the highest windowed op count, with its
-  // share of the group total in [0,1] (0 when idle). The policy layer
-  // splits at the boundary isolating a hot shard instead of the midpoint.
-  struct HotSubrange {
-    size_t index = 0;
-    double share = 0.0;
-    uint64_t ops_in_window = 0;
-  };
-  HotSubrange HottestSubrange(int64_t now_us) const;
+  // Folds the ops recorded since the previous tick into the smoothed rate:
+  // op_rate = 0.5 * op_rate + 0.5 * ops / elapsed seconds. The first tick
+  // measures over `first_interval_us`.
+  void TickOpRate(int64_t now_us, int64_t first_interval_us);
 
-  // The key-space boundary of sub-range `index` (its begin key).
-  Key SubrangeBegin(size_t index) const;
-
-  const obs::SlidingWindow& ops_window() const { return ops_; }
+  // Smoothed accepted ops per second as of the last tick.
+  double op_rate() const { return op_rate_; }
 
  private:
-  size_t SubrangeFor(Key key) const;
-
-  ring::KeyRange range_ = ring::KeyRange::Full();
   obs::SlidingWindow& ops_;
   obs::SlidingWindow& bytes_;
-  obs::SlidingWindow& writes_;
-  std::array<obs::SlidingWindow*, kSubranges> shard_ops_;
   Histogram& latency_;
+  uint64_t ops_at_last_tick_;
+  int64_t last_tick_us_ = 0;  // 0: not ticked yet
+  double op_rate_ = 0.0;
 };
 
 }  // namespace scatter::store

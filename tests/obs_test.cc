@@ -557,6 +557,61 @@ TEST(MetricsRegistryTest, WindowCellsAreKeyedAndExported) {
   EXPECT_NE(json.find("\"name\":\"store.window.ops\""), std::string::npos);
 }
 
+TEST(MetricsRegistryTest, ServedGroupExportsExactlyTheReadWindows) {
+  // Every exported window has a reader: the timeline samples these three.
+  // A window cell nobody reads must not come back unnoticed.
+  core::Cluster c(StaticCluster(41, 3, 1));
+  c.RunFor(Seconds(2));
+  core::Client* client = c.AddClient();
+  int done = 0;
+  for (int i = 0; i < 10; ++i) {
+    client->Put(KeyFromString("w" + std::to_string(i)), "v",
+                [&](Status s) { done += s.ok() ? 1 : 0; });
+  }
+  c.RunFor(Seconds(3));  // ops land, a policy tick passes
+  ASSERT_EQ(done, 10);
+
+  NodeId leader = kInvalidNode;
+  GroupId group = 0;
+  for (NodeId id : c.live_node_ids()) {
+    for (const ring::GroupInfo& info : c.node(id)->ServingInfos()) {
+      if (info.leader == id) {
+        leader = id;
+        group = info.id;
+      }
+    }
+  }
+  ASSERT_NE(leader, kInvalidNode);
+
+  const std::string json = c.sim().metrics().ToJson();
+  const size_t begin = json.find("\"windows\":[");
+  const size_t end = json.find("],\"histograms\":[");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  const std::string windows = json.substr(begin, end - begin);
+  const std::string cell_prefix = "{\"name\":\"";
+  std::set<std::string> all_names;
+  std::set<std::string> served_names;
+  const std::string served_scope = ",\"node\":" + std::to_string(leader) +
+                                   ",\"group\":" + std::to_string(group) +
+                                   ",";
+  for (size_t at = windows.find(cell_prefix); at != std::string::npos;
+       at = windows.find(cell_prefix, at + 1)) {
+    const size_t name_begin = at + cell_prefix.size();
+    const size_t name_end = windows.find('"', name_begin);
+    const std::string name = windows.substr(name_begin, name_end - name_begin);
+    all_names.insert(name);
+    if (windows.compare(name_end + 1, served_scope.size(), served_scope) ==
+        0) {
+      served_names.insert(name);
+    }
+  }
+  const std::set<std::string> read_windows = {
+      "paxos.window.commits", "store.window.bytes", "store.window.ops"};
+  EXPECT_EQ(served_names, read_windows);
+  EXPECT_EQ(all_names, read_windows);
+}
+
 TEST(MetricsRegistryTest, MergeSumsWindowCellsAcrossNodes) {
   // Per-node registries record into the same absolute timeline; the merged
   // registry must see epoch-aligned sums regardless of merge order.

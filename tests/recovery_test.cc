@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -187,6 +188,61 @@ TEST(RecoveryTest, RecoveredReplicaRebuildsVotingConfig) {
   }
   EXPECT_FALSE(
       c.node(victim)->GroupReplica(gid)->log().config_entries().empty());
+}
+
+TEST(RecoveryTest, RestartedGroupOpRateCountsOnlyPostRestartOps) {
+  // A one-node, one-group cluster: the node leads its group before and
+  // after the restart, so it accepts every op and advertises the rate.
+  ClusterConfig cfg = PersistedConfig(17);
+  cfg.initial_nodes = 1;
+  cfg.initial_groups = 1;
+  Cluster c(cfg);
+  Client* client = c.AddClient();
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(PutSync(c, client, "pre" + std::to_string(i), "v"));
+  }
+  c.RunFor(Seconds(3));
+  const NodeId victim = c.live_node_ids().front();
+  const GroupId gid = c.node(victim)->ServingGroups().front()->id();
+  const obs::SlidingWindow* ops =
+      c.sim().metrics().FindWindow("store.window.ops", victim, gid);
+  ASSERT_NE(ops, nullptr);
+  const uint64_t pre_crash = ops->total();
+  ASSERT_GE(pre_crash, 30u);
+
+  c.CrashNode(victim);
+  c.RunFor(Millis(500));
+  ASSERT_EQ(c.RestartNode(victim), 1u);
+  const TimeMicros restarted_at = c.sim().now();
+  constexpr int kPostOps = 10;
+  for (int i = 0; i < kPostOps; ++i) {
+    ASSERT_TRUE(PutSync(c, client, "post" + std::to_string(i), "v"));
+  }
+  // The restarted node re-got the same registry cell, still holding the
+  // pre-crash total.
+  EXPECT_EQ(ops->total(), pre_crash + kPostOps);
+  // No policy tick of the restarted node yet.
+  const TimeMicros interval = cfg.scatter.policy.policy_interval;
+  ASSERT_LT(c.sim().now() - restarted_at, interval);
+
+  // Step to the first tick that moves the recovered group's rate.
+  std::optional<double> rate;
+  const TimeMicros deadline = c.sim().now() + Seconds(10);
+  while (c.sim().now() < deadline && c.sim().Step()) {
+    for (const ring::GroupInfo& info : c.node(victim)->ServingInfos()) {
+      if (info.id == gid && info.has_op_rate && info.op_rate != 0.0) {
+        rate = info.op_rate;
+      }
+    }
+    if (rate.has_value()) {
+      break;
+    }
+  }
+  ASSERT_TRUE(rate.has_value());
+  const double interval_s =
+      static_cast<double>(interval) / static_cast<double>(Seconds(1));
+  EXPECT_DOUBLE_EQ(*rate, 0.5 * kPostOps / interval_s)
+      << "the first post-restart tick must count only post-restart ops";
 }
 
 TEST(RecoveryTest, GroupCommitBatchesFsyncs) {

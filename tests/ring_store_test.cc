@@ -1,6 +1,10 @@
 // Unit tests for circular key-range arithmetic, the KV store's range
 // operations, and the routing cache.
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/hash.h"
@@ -128,6 +132,85 @@ TEST(KvStoreTest, ExtractRangeWraps) {
   EXPECT_TRUE(sub.Get(0).has_value());
   EXPECT_TRUE(sub.Get(5).has_value());
   EXPECT_FALSE(sub.Get(1000).has_value());
+}
+
+// The policies' original split/repartition key pick, kept as the oracle for
+// KeyAtClockwiseRank: copy the arc, normalize keys to clockwise offsets from
+// range.begin, sort, index.
+std::optional<Key> SortedOffsetKeyAtRank(const KvStore& s,
+                                         const KeyRange& range, size_t rank) {
+  const KvStore in_range = s.ExtractRange(range);
+  std::vector<Key> offsets;
+  for (const auto& [k, v] : in_range.entries()) {
+    offsets.push_back(k - range.begin);
+  }
+  std::sort(offsets.begin(), offsets.end());
+  if (rank >= offsets.size()) {
+    return std::nullopt;
+  }
+  return range.begin + offsets[rank];
+}
+
+TEST(KvStoreTest, KeyAtClockwiseRankMatchesSortedOffsets) {
+  Rng rng(4242);
+  size_t checked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const Key a = rng.Next();
+    const Key b = rng.Next();
+    const KeyRange arcs[] = {
+        KeyRange{std::min(a, b), std::max(a, b)},  // non-wrapping
+        KeyRange{std::max(a, b), std::min(a, b)},  // wrapping
+        KeyRange::Full(),                          // full, begin == 0
+        KeyRange{a, a},                            // full, begin != 0
+    };
+    ASSERT_LT(arcs[0].begin, arcs[0].end);
+    ASSERT_GT(arcs[1].begin, arcs[1].end);
+    KvStore s;
+    const size_t n = rng.Index(40);
+    for (size_t i = 0; i < n; ++i) {
+      s.Put(rng.Next(), "v");
+    }
+    // Keys on the arc edges and the ends of the key space, where a wrong
+    // walk order or bound would show.
+    for (Key k : {a, a - 1, a + 1, b, b - 1, Key{0}, ~Key{0}}) {
+      if (rng.Bernoulli(0.5)) {
+        s.Put(k, "edge");
+      }
+    }
+    for (const KeyRange& range : arcs) {
+      const size_t in_range = s.CountRange(range);
+      std::vector<size_t> ranks = {0, in_range / 2, in_range, in_range + 3};
+      if (in_range > 0) {
+        ranks.push_back(in_range - 1);
+        ranks.push_back(rng.Index(in_range));
+      }
+      for (size_t rank : ranks) {
+        EXPECT_EQ(s.KeyAtClockwiseRank(range, rank),
+                  SortedOffsetKeyAtRank(s, range, rank))
+            << "trial " << trial << " range " << range.ToString() << " rank "
+            << rank << " of " << in_range;
+        checked++;
+      }
+    }
+  }
+  EXPECT_GT(checked, 4000u);
+}
+
+TEST(KvStoreTest, KeyAtClockwiseRankWalksFullRingFromBegin) {
+  KvStore s;
+  for (Key k : {Key{1}, Key{50}, Key{100}, Key{200}}) {
+    s.Put(k, "v");
+  }
+  // On the full ring starting at 100, clockwise order is 100 200 1 50 —
+  // not key order.
+  const KeyRange from_100{100, 100};
+  EXPECT_EQ(s.KeyAtClockwiseRank(from_100, 0), Key{100});
+  EXPECT_EQ(s.KeyAtClockwiseRank(from_100, 1), Key{200});
+  EXPECT_EQ(s.KeyAtClockwiseRank(from_100, 2), Key{1});
+  EXPECT_EQ(s.KeyAtClockwiseRank(from_100, 3), Key{50});
+  EXPECT_EQ(s.KeyAtClockwiseRank(from_100, 4), std::nullopt);
+  EXPECT_EQ(s.KeyAtClockwiseRank(KeyRange{60, 10}, 2), Key{1});
+  EXPECT_EQ(KvStore().KeyAtClockwiseRank(KeyRange::Full(), 0), std::nullopt);
 }
 
 TEST(KvStoreTest, EraseRangeAndCount) {

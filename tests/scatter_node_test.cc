@@ -3,6 +3,7 @@
 // adverse group states.
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -271,6 +272,74 @@ TEST(NodeStatsTest, ServingInfosReflectLoad) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The op rate the current leader of a one-group cluster advertises, or
+// nullopt while no node leads.
+std::optional<double> LeaderOpRate(Cluster& c) {
+  for (NodeId id : c.live_node_ids()) {
+    for (const ring::GroupInfo& info : c.node(id)->ServingInfos()) {
+      if (info.leader == id && info.has_op_rate) {
+        return info.op_rate;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// Steps event by event until a policy tick moves the leader's op rate off
+// `from`; on return now() is that tick's time.
+double StepUntilOpRateMoves(Cluster& c, double from) {
+  const TimeMicros deadline = c.sim().now() + Seconds(10);
+  while (c.sim().now() < deadline && c.sim().Step()) {
+    const std::optional<double> rate = LeaderOpRate(c);
+    if (rate.has_value() && *rate != from) {
+      return *rate;
+    }
+  }
+  ADD_FAILURE() << "no policy tick moved the op rate off " << from;
+  return from;
+}
+
+TEST(NodeStatsTest, OpRateFollowsPolicyTickFormula) {
+  // The policy rate is 0.5 * old + 0.5 * ops / window, folded on every
+  // policy tick from the group's store.window.ops; the first window is one
+  // policy_interval.
+  ClusterConfig cfg;
+  cfg.seed = 31;
+  cfg.initial_nodes = 3;
+  cfg.initial_groups = 1;
+  cfg.scatter.policy.enable_split = false;
+  cfg.scatter.policy.enable_merge = false;
+  cfg.scatter.policy.enable_migration = false;
+  cfg.scatter.policy.min_group_size = 1;
+  const double interval_s =
+      static_cast<double>(cfg.scatter.policy.policy_interval) /
+      static_cast<double>(Seconds(1));
+  Cluster c(cfg);
+  Client* client = c.AddClient();
+  constexpr int kFirstOps = 20;
+  for (int i = 0; i < kFirstOps; ++i) {
+    ASSERT_TRUE(PutSync(c, client, KeyFromString("r" + std::to_string(i)),
+                        "v"));
+  }
+  // Every op landed before any node's first policy tick.
+  ASSERT_LT(c.sim().now(), cfg.scatter.policy.policy_interval);
+  const double first = StepUntilOpRateMoves(c, 0.0);
+  const TimeMicros first_tick = c.sim().now();
+  EXPECT_DOUBLE_EQ(first, 0.5 * kFirstOps / interval_s);
+
+  constexpr int kSecondOps = 30;
+  for (int i = 0; i < kSecondOps; ++i) {
+    ASSERT_TRUE(PutSync(c, client, KeyFromString("q" + std::to_string(i)),
+                        "v"));
+  }
+  ASSERT_LT(c.sim().now() - first_tick, cfg.scatter.policy.policy_interval);
+  const double second = StepUntilOpRateMoves(c, first);
+  const double window_s = static_cast<double>(c.sim().now() - first_tick) /
+                          static_cast<double>(Seconds(1));
+  EXPECT_GT(window_s, interval_s);  // jittered tick spacing
+  EXPECT_DOUBLE_EQ(second, 0.5 * first + 0.5 * kSecondOps / window_s);
 }
 
 TEST(StrayMessageTest, NodesIgnoreTrafficForUnknownGroups) {
