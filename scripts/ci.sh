@@ -12,7 +12,7 @@
 #   scripts/ci.sh bench           # just the benchmark smoke (plain build)
 #   scripts/ci.sh obs             # traced sim + trace/metrics JSON schema check
 #   scripts/ci.sh wire            # full suite over serializing + audit
-#   scripts/ci.sh mc              # model-checker smoke (delay-bounded split + config_truncate)
+#   scripts/ci.sh mc              # model-checker smoke (delay-bounded split + config_truncate) + counterexample round trip
 #   scripts/ci.sh durability      # full suite with persistence on (serializing) + mc crash-with-disk smoke
 #   scripts/ci.sh concurrency     # thread-safety annotations (clang) + lock-discipline lint + TSan stress
 #
@@ -122,6 +122,20 @@ run_mc() {
     "$bdir/tools/mc_explore" --scenario "$scenario" --strategy delay \
         --budget-seconds 25 --counterexample none
   done
+  # Counterexample round trip: a walk of the seeded config-truncation bug
+  # must find the violation and write a counterexample; the stats line and
+  # the file must be valid JSON (checked by an independent parser), and
+  # mc_replay must read the file back and reproduce the violation.
+  echo "=== mc: counterexample round trip over config_truncate+mutation ($bdir) ==="
+  local tmp
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' RETURN
+  "$bdir/tools/mc_explore" --scenario config_truncate+mutation \
+      --strategy walk --expect-violation --counterexample "$tmp/ce.json" \
+      | python3 -m json.tool > /dev/null
+  python3 -m json.tool "$tmp/ce.json" > /dev/null
+  "$bdir/tools/mc_replay" "$tmp/ce.json" | tee "$tmp/replay.txt" | tail -n 1
+  grep -qx REPRODUCED "$tmp/replay.txt"
 }
 
 run_durability() {

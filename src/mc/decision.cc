@@ -1,9 +1,9 @@
 #include "src/mc/decision.h"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "src/common/json.h"
 
 namespace scatter::mc {
 
@@ -42,193 +42,81 @@ bool ChoiceKindFromName(const std::string& name, ChoiceKind* out) {
   return false;
 }
 
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
+// Readers for the members FromJson understands; false on a wrong type.
+bool Read(const JsonValue& v, uint64_t* out) { return v.AsUint64(out); }
+
+bool Read(const JsonValue& v, std::string* out) {
+  if (v.type != JsonValue::kString) return false;
+  *out = v.text;
+  return true;
 }
 
-// Minimal recursive-descent JSON reader, sufficient for the fixed shape
-// ToJson emits (objects, arrays, strings, unsigned integers, booleans).
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool failed() const { return failed_; }
-  const std::string& error() const { return error_; }
-
-  void Fail(const std::string& why) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = why + " at offset " + std::to_string(pos_);
+bool Read(const JsonValue& v, McViolation* out) {
+  if (v.type != JsonValue::kObject) return false;
+  for (const auto& [key, m] : v.object) {
+    if ((key == "source" && !Read(m, &out->source)) ||
+        (key == "checker" && !Read(m, &out->checker)) ||
+        (key == "detail" && !Read(m, &out->detail))) {
+      return false;
     }
   }
+  return true;
+}
 
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      pos_++;
+bool Read(const JsonValue& v, Choice* out) {
+  if (v.type != JsonValue::kObject) return false;
+  for (const auto& [key, m] : v.object) {
+    std::string kind;
+    if ((key == "kind" &&
+         !(Read(m, &kind) && ChoiceKindFromName(kind, &out->kind))) ||
+        (key == "arg" && !Read(m, &out->arg)) ||
+        (key == "dest" && !Read(m, &out->dest))) {
+      return false;
     }
   }
+  return true;
+}
 
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      pos_++;
-      return true;
-    }
+bool Read(const JsonValue& v, std::vector<Choice>* out) {
+  if (v.type != JsonValue::kArray) return false;
+  for (const JsonValue& c : v.array) {
+    if (!Read(c, &out->emplace_back())) return false;
+  }
+  return true;
+}
+
+bool Decode(const std::string& text, Counterexample* ce, std::string* why) {
+  JsonValue root;
+  if (!ParseJson(text, &root, why)) {
     return false;
   }
-
-  void Expect(char c) {
-    if (!Consume(c)) {
-      Fail(std::string("expected '") + c + "'");
+  if (root.type != JsonValue::kObject) {
+    *why = "not a JSON object";
+    return false;
+  }
+  // Unknown keys are skipped for forward compatibility.
+  uint64_t version = 1;
+  for (const auto& [key, v] : root.object) {
+    if ((key == "version" && !Read(v, &version)) ||
+        (key == "scenario" && !Read(v, &ce->scenario)) ||
+        (key == "seed" && !Read(v, &ce->seed)) ||
+        (key == "strategy" && !Read(v, &ce->strategy)) ||
+        (key == "violation" && !Read(v, &ce->violation)) ||
+        (key == "schedule" && !Read(v, &ce->schedule))) {
+      *why = "malformed \"" + key + "\"";
+      return false;
     }
   }
-
-  char Peek() {
-    SkipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
+  if (version != 1) {
+    *why = "unsupported counterexample version " + std::to_string(version);
+    return false;
   }
-
-  std::string ReadString() {
-    Expect('"');
-    std::string out;
-    while (!failed_ && pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          break;
-        }
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-          case '\\':
-          case '/':
-            out.push_back(e);
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              Fail("bad \\u escape");
-              return out;
-            }
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') {
-                v |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                v |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                v |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                Fail("bad \\u escape");
-                return out;
-              }
-            }
-            // The emitter only writes control characters this way.
-            out.push_back(static_cast<char>(v & 0x7f));
-            break;
-          }
-          default:
-            Fail("unknown escape");
-            return out;
-        }
-        continue;
-      }
-      out.push_back(c);
-    }
-    Fail("unterminated string");
-    return out;
+  if (ce->scenario.empty()) {
+    *why = "missing scenario";
+    return false;
   }
-
-  uint64_t ReadU64() {
-    SkipWs();
-    if (pos_ >= text_.size() ||
-        std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-      Fail("expected number");
-      return 0;
-    }
-    uint64_t v = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      v = v * 10 + static_cast<uint64_t>(text_[pos_++] - '0');
-    }
-    return v;
-  }
-
-  // Skips any value (used for unknown keys, forward compatibility).
-  void SkipValue() {
-    SkipWs();
-    char c = Peek();
-    if (c == '"') {
-      ReadString();
-    } else if (c == '{') {
-      Expect('{');
-      if (!Consume('}')) {
-        do {
-          ReadString();
-          Expect(':');
-          SkipValue();
-        } while (Consume(','));
-        Expect('}');
-      }
-    } else if (c == '[') {
-      Expect('[');
-      if (!Consume(']')) {
-        do {
-          SkipValue();
-        } while (Consume(','));
-        Expect(']');
-      }
-    } else {
-      while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
-             text_[pos_] != ']' &&
-             std::isspace(static_cast<unsigned char>(text_[pos_])) == 0) {
-        pos_++;
-      }
-    }
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
+  return true;
+}
 
 }  // namespace
 
@@ -254,21 +142,21 @@ std::string Counterexample::ToJson() const {
   std::string out;
   out += "{\n  \"version\": " + std::to_string(version) + ",\n";
   out += "  \"scenario\": ";
-  AppendJsonString(scenario, &out);
+  AppendJsonString(&out, scenario);
   out += ",\n  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"strategy\": ";
-  AppendJsonString(strategy, &out);
+  AppendJsonString(&out, strategy);
   out += ",\n  \"violation\": {\"source\": ";
-  AppendJsonString(violation.source, &out);
+  AppendJsonString(&out, violation.source);
   out += ", \"checker\": ";
-  AppendJsonString(violation.checker, &out);
+  AppendJsonString(&out, violation.checker);
   out += ", \"detail\": ";
-  AppendJsonString(violation.detail, &out);
+  AppendJsonString(&out, violation.detail);
   out += "},\n  \"schedule\": [\n";
   for (size_t i = 0; i < schedule.size(); ++i) {
     const Choice& c = schedule[i];
     out += "    {\"kind\": ";
-    AppendJsonString(ChoiceKindName(c.kind), &out);
+    AppendJsonString(&out, ChoiceKindName(c.kind));
     out += ", \"arg\": " + std::to_string(c.arg);
     if (c.dest != kInvalidNode) {
       out += ", \"dest\": " + std::to_string(c.dest);
@@ -281,89 +169,11 @@ std::string Counterexample::ToJson() const {
 
 bool Counterexample::FromJson(const std::string& text, Counterexample* out,
                               std::string* error) {
-  JsonReader r(text);
+  std::string why;
   Counterexample ce;
-  r.Expect('{');
-  if (!r.Consume('}')) {
-    do {
-      const std::string key = r.ReadString();
-      r.Expect(':');
-      if (key == "version") {
-        ce.version = static_cast<int>(r.ReadU64());
-      } else if (key == "scenario") {
-        ce.scenario = r.ReadString();
-      } else if (key == "seed") {
-        ce.seed = r.ReadU64();
-      } else if (key == "strategy") {
-        ce.strategy = r.ReadString();
-      } else if (key == "violation") {
-        r.Expect('{');
-        if (!r.Consume('}')) {
-          do {
-            const std::string vk = r.ReadString();
-            r.Expect(':');
-            if (vk == "source") {
-              ce.violation.source = r.ReadString();
-            } else if (vk == "checker") {
-              ce.violation.checker = r.ReadString();
-            } else if (vk == "detail") {
-              ce.violation.detail = r.ReadString();
-            } else {
-              r.SkipValue();
-            }
-          } while (r.Consume(','));
-          r.Expect('}');
-        }
-      } else if (key == "schedule") {
-        r.Expect('[');
-        if (!r.Consume(']')) {
-          do {
-            Choice c;
-            r.Expect('{');
-            if (!r.Consume('}')) {
-              do {
-                const std::string ck = r.ReadString();
-                r.Expect(':');
-                if (ck == "kind") {
-                  if (!ChoiceKindFromName(r.ReadString(), &c.kind)) {
-                    r.Fail("unknown choice kind");
-                  }
-                } else if (ck == "arg") {
-                  c.arg = r.ReadU64();
-                } else if (ck == "dest") {
-                  c.dest = r.ReadU64();
-                } else {
-                  r.SkipValue();
-                }
-              } while (r.Consume(','));
-              r.Expect('}');
-            }
-            ce.schedule.push_back(c);
-          } while (r.Consume(','));
-          r.Expect(']');
-        }
-      } else {
-        r.SkipValue();
-      }
-    } while (r.Consume(','));
-    r.Expect('}');
-  }
-  if (r.failed()) {
+  if (!Decode(text, &ce, &why)) {
     if (error != nullptr) {
-      *error = r.error();
-    }
-    return false;
-  }
-  if (ce.version != 1) {
-    if (error != nullptr) {
-      *error = "unsupported counterexample version " +
-               std::to_string(ce.version);
-    }
-    return false;
-  }
-  if (ce.scenario.empty()) {
-    if (error != nullptr) {
-      *error = "missing scenario";
+      *error = why;
     }
     return false;
   }

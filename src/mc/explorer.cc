@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "src/common/hash.h"
+#include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/mc/harness.h"
@@ -14,18 +15,6 @@
 namespace scatter::mc {
 
 namespace {
-
-void AppendJsonStringField(const std::string& key, const std::string& value,
-                           std::string* out) {
-  *out += "\"" + key + "\": \"";
-  for (char c : value) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-    }
-    out->push_back(c);
-  }
-  *out += "\"";
-}
 
 // The wall-clock budget only bounds how long the checker searches; it never
 // influences which schedules are explored or what any schedule observes.
@@ -39,10 +28,10 @@ double Elapsed(WallClock::time_point start) {
 }  // namespace
 
 std::string ExploreStats::ToJson() const {
-  std::string out = "{";
-  AppendJsonStringField("scenario", scenario, &out);
-  out += ", ";
-  AppendJsonStringField("strategy", strategy, &out);
+  std::string out = "{\"scenario\": ";
+  AppendJsonString(&out, scenario);
+  out += ", \"strategy\": ";
+  AppendJsonString(&out, strategy);
   out += ", \"schedules\": " + std::to_string(schedules);
   out += ", \"decisions\": " + std::to_string(decisions);
   out += ", \"dedup_hits\": " + std::to_string(dedup_hits);
@@ -55,12 +44,10 @@ std::string ExploreStats::ToJson() const {
   out += ", \"violation_found\": ";
   out += violation_found ? "true" : "false";
   if (violation_found) {
-    out += ", ";
-    AppendJsonStringField("violation_source", counterexample.violation.source,
-                          &out);
-    out += ", ";
-    AppendJsonStringField("violation_checker",
-                          counterexample.violation.checker, &out);
+    out += ", \"violation_source\": ";
+    AppendJsonString(&out, counterexample.violation.source);
+    out += ", \"violation_checker\": ";
+    AppendJsonString(&out, counterexample.violation.checker);
   }
   out += "}";
   return out;

@@ -6,47 +6,19 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/common/json.h"
+
 namespace scatter::obs {
 namespace {
-
-// JSON string escaping for metric names (names are plain dotted identifiers
-// in practice, but the exporter must not emit malformed JSON regardless).
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string CellPrefix(const std::string& name, NodeId node, GroupId group) {
   char buf[96];
   std::snprintf(buf, sizeof(buf),
                 ",\"node\":%" PRIu64 ",\"group\":%" PRIu64,
                 static_cast<uint64_t>(node), static_cast<uint64_t>(group));
-  return "{\"name\":\"" + EscapeJson(name) + "\"" + buf;
+  std::string out = "{\"name\":";
+  AppendJsonString(&out, name);
+  return out + buf;
 }
 
 }  // namespace

@@ -3,38 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/common/json.h"
+
 namespace scatter::obs {
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void AppendU64(std::string* out, const char* key, uint64_t v) {
   char buf[64];
@@ -152,7 +124,9 @@ std::string TraceRecorder::ToChromeJson() const {
   for (const Span& span : spans_) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"" + EscapeJson(span.name) + "\",\"ph\":\"X\",";
+    out += "{\"name\":";
+    AppendJsonString(&out, span.name);
+    out += ",\"ph\":\"X\",";
     AppendI64(&out, "ts", span.start_us);
     out += ",";
     // Perfetto treats dur<=0 complete events poorly; clamp to 1us so every
@@ -178,15 +152,19 @@ std::string TraceRecorder::ToChromeJson() const {
       out += ",\"open\":true";
     }
     for (const auto& [key, value] : span.args) {
-      out += ",\"" + EscapeJson(key) + "\":\"" + EscapeJson(value) + "\"";
+      out += ",";
+      AppendJsonString(&out, key);
+      out += ":";
+      AppendJsonString(&out, value);
     }
     out += "}}";
   }
   for (const Instant& inst : instants_) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"" + EscapeJson(inst.name) +
-           "\",\"ph\":\"i\",\"s\":\"t\",";
+    out += "{\"name\":";
+    AppendJsonString(&out, inst.name);
+    out += ",\"ph\":\"i\",\"s\":\"t\",";
     AppendI64(&out, "ts", inst.ts_us);
     out += ",";
     AppendU64(&out, "pid", inst.node);

@@ -30,12 +30,8 @@ struct PaxosConfig {
   TimeMicros accept_resend_interval = Millis(100);
 
   // --- Commit-path batching & pipelining ----------------------------------
-  // Group-commit flush window: proposals accumulate in the local log and go
-  // out in one Accept broadcast per flush. Zero means "flush on the next
-  // event-loop turn" (same-turn proposals coalesce, serial latency is
-  // unaffected); a positive value trades that much latency for bigger
-  // batches under load.
-  TimeMicros accept_flush_window = 0;
+  // Proposals accumulate in the local log and go out in one Accept
+  // broadcast per flush (group commit); see Replica::RequestFlush.
 
   // Entries per AcceptMsg. Longer backlogs stream as consecutive rounds.
   uint64_t max_batch_entries = 64;
@@ -46,11 +42,6 @@ struct PaxosConfig {
   // broadcast rounds may be awaiting commit before further flushes defer to
   // round completion.
   uint64_t pipeline_depth = 4;
-
-  // Follower-side AcceptedMsg coalescing window: acks for Accepts of the
-  // same ballot arriving within this window merge into one reply. Zero
-  // coalesces only same-turn arrivals.
-  TimeMicros ack_flush_window = 0;
 
   // After the leader advances its commit index it notifies idle followers
   // (via an empty Accept) within this long, instead of waiting for the next

@@ -625,8 +625,7 @@ void Replica::QueueAck(NodeId to, Ballot ballot, uint64_t match_index,
     pending_ack_ballot_ = ballot;
     pending_ack_match_ = match_index;
     pending_ack_sent_at_ = leader_sent_at;
-    ack_timer_ =
-        timers_.Schedule(cfg_.ack_flush_window, [this]() { FlushAck(); });
+    ack_timer_ = timers_.Schedule(0, [this]() { FlushAck(); });
     return;
   }
   // Merging keeps the highest match and the latest leader send timestamp;
@@ -963,9 +962,7 @@ void Replica::RequestFlush() {
   if (role_ != Role::kLeader || last_flush_end_ >= last_log_index()) {
     return;
   }
-  if (cfg_.accept_flush_window > 0) {
-    ScheduleFlush(cfg_.accept_flush_window);
-  } else if (flush_ends_.empty()) {
+  if (flush_ends_.empty()) {
     // Nothing in flight: send immediately, so a lone sequential proposer
     // pays no extra event-loop turn of latency.
     Flush();

@@ -323,8 +323,9 @@ class Replica {
 
   // --- Follower machinery ---------------------------------------------
   // Coalesces a positive append ack into the pending reply for (to,
-  // ballot); a pending ack for a different leader or ballot is flushed
-  // first. Nacks bypass the queue (the leader must react immediately).
+  // ballot), which goes out on the next event-loop turn; a pending ack for
+  // a different leader or ballot is flushed first. Nacks bypass the queue
+  // (the leader must react immediately).
   void QueueAck(NodeId to, Ballot ballot, uint64_t match_index,
                 TimeMicros leader_sent_at);
   void FlushAck();

@@ -1,13 +1,17 @@
-// Unit tests for src/common: status, rng, histogram, hashing.
+// Unit tests for src/common: status, rng, histogram, hashing, JSON.
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
+#include "src/common/json.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -280,6 +284,105 @@ TEST(HashTest, SpreadsShortKeys) {
 TEST(HashTest, MixHashDiffers) {
   EXPECT_NE(MixHash(1, 2), MixHash(2, 1));
   EXPECT_NE(MixHash(1, 2), MixHash(1, 3));
+}
+
+JsonValue ParseOk(const std::string& text) {
+  JsonValue v;
+  std::string error;
+  EXPECT_TRUE(ParseJson(text, &v, &error)) << text << ": " << error;
+  return v;
+}
+
+TEST(JsonTest, EscaperWritesTheObsExporterBytes) {
+  std::string out = "k=";
+  AppendJsonString(&out, std::string("q\"b\\n\nt\tc\x01\x1f.\xc3\xa9", 14));
+  EXPECT_EQ(out, "k=\"q\\\"b\\\\n\\nt\\tc\\u0001\\u001f.\xc3\xa9\"");
+}
+
+TEST(JsonTest, EveryAsciiByteRoundTrips) {
+  for (int c = 0; c < 0x80; ++c) {
+    const std::string s = "<" + std::string(1, static_cast<char>(c)) + ">";
+    std::string json;
+    AppendJsonString(&json, s);
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(ParseJson(json, &v, &error)) << c << ": " << error;
+    ASSERT_EQ(v.type, JsonValue::kString) << c;
+    EXPECT_EQ(v.text, s) << c;
+  }
+}
+
+TEST(JsonTest, ParsesEveryValueKind) {
+  const JsonValue v = ParseOk(
+      " {\"a\": [1, -2.5e1, true, false, null], \"s\": \"x\\/y\","
+      " \"o\": {}, \"a\": 0}\r\n");
+  ASSERT_EQ(v.type, JsonValue::kObject);
+  ASSERT_EQ(v.object.size(), 4u);
+  const JsonValue* a = v.Find("a");  // the first of a repeated key
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->type, JsonValue::kArray);
+  ASSERT_EQ(a->array.size(), 5u);
+  double d = 0;
+  ASSERT_TRUE(a->array[1].AsDouble(&d));
+  EXPECT_EQ(d, -25.0);
+  EXPECT_EQ(a->array[1].text, "-2.5e1");
+  EXPECT_TRUE(a->array[2].boolean);
+  EXPECT_EQ(a->array[3].type, JsonValue::kBool);
+  EXPECT_FALSE(a->array[3].boolean);
+  EXPECT_EQ(a->array[4].type, JsonValue::kNull);
+  EXPECT_EQ(v.Find("s")->text, "x/y");
+  EXPECT_EQ(v.Find("o")->type, JsonValue::kObject);
+  EXPECT_EQ(v.Find("missing"), nullptr);
+  EXPECT_EQ(a->Find("a"), nullptr);  // not an object
+}
+
+TEST(JsonTest, RejectsMalformedInput) {
+  for (const std::string& bad : std::vector<std::string>{
+           "", "{} x", "[1] [2]", "+1", "01", "1.", ".5", "-", "1e", "\"abc",
+           "\"\\q\"", "\"\\u12g4\"", "\"\\u12\"", "\"a\x01\"",
+           "[1 2]", "[\"common\" \"sim\"]", "{\"a\": 1 \"b\": 2}",
+           "{\"a\" 1}", "[1,]", "{\"a\": 1,}", "{1: 2}", "tru", "nul", "inf",
+           "0x10"}) {
+    JsonValue v;
+    std::string error;
+    EXPECT_FALSE(ParseJson(bad, &v, &error)) << bad;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << bad;
+  }
+}
+
+TEST(JsonTest, NestingDepthIsCappedAt64) {
+  JsonValue v;
+  EXPECT_TRUE(ParseJson(std::string(64, '[') + std::string(64, ']'), &v,
+                        nullptr));
+  EXPECT_FALSE(ParseJson(std::string(65, '[') + std::string(65, ']'), &v,
+                         nullptr));
+  std::string objects;
+  for (int i = 0; i < 65; ++i) objects += "{\"k\":";
+  objects += "0" + std::string(65, '}');
+  EXPECT_FALSE(ParseJson(objects, &v, nullptr));
+}
+
+TEST(JsonTest, Uint64ReadsExactlyOrNotAtAll) {
+  uint64_t u = 0;
+  ASSERT_TRUE(ParseOk("18446744073709551615").AsUint64(&u));
+  EXPECT_EQ(u, UINT64_MAX);
+  ASSERT_TRUE(ParseOk("0").AsUint64(&u));
+  EXPECT_EQ(u, 0u);
+  for (const char* text : {"18446744073709551616", "18446744073709551617",
+                           "99999999999999999999", "-1", "1.0", "1e3"}) {
+    const JsonValue v = ParseOk(text);
+    EXPECT_FALSE(v.AsUint64(&u)) << text;
+    double d = 0;
+    EXPECT_TRUE(v.AsDouble(&d)) << text;
+  }
+  EXPECT_FALSE(ParseOk("\"7\"").AsUint64(&u));
+}
+
+TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
+  EXPECT_EQ(ParseOk("\"\\u00e9\"").text, "\xc3\xa9");  // é
+  EXPECT_EQ(ParseOk("\"\\u20AC\"").text, "\xe2\x82\xac");
+  EXPECT_EQ(ParseOk("\"\\u0041\\u0000\"").text, std::string("A\0", 2));
+  EXPECT_EQ(ParseOk("\"\xc3\xa9\"").text, "\xc3\xa9");  // raw UTF-8 kept
 }
 
 }  // namespace

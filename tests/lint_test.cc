@@ -252,6 +252,15 @@ TEST(LayerDag, RejectsCyclicTable) {
   EXPECT_NE(report.findings[0].message.find("cyclic"), std::string::npos);
 }
 
+TEST(LayerDag, RejectsDependencyArrayWithoutComma) {
+  const LintReport report = Lint(
+      {{"src/sim/x.cc", "int x;\n"}},
+      "{\"layers\": {\"common\": [], \"sim\": [\"common\" \"wire\"]}}");
+  ASSERT_EQ(CountRule(report, "layer-dag"), 1);
+  EXPECT_NE(report.findings[0].message.find("cannot parse layers config"),
+            std::string::npos);
+}
+
 TEST(LayerDag, RealLayersFileIsAcceptedAndAcyclic) {
   std::ifstream in(std::string(SCATTER_SOURCE_DIR) + "/scripts/layers.json");
   ASSERT_TRUE(in.is_open());

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,31 @@ TEST(McDecisionTest, FromJsonRejectsMalformedInput) {
       "\"schedule\": [{\"kind\": \"nonsense\", \"arg\": 0}]}",
       &out, &error));
   EXPECT_FALSE(error.empty());
+
+  // A valid document followed by anything but whitespace is rejected.
+  const std::string valid = SampleCounterexample().ToJson();
+  ASSERT_TRUE(Counterexample::FromJson(valid + " \n", &out, &error)) << error;
+  EXPECT_FALSE(Counterexample::FromJson(valid + "x", &out, &error));
+  EXPECT_FALSE(Counterexample::FromJson(valid + "{}", &out, &error));
+
+  // Integers past 2^64-1 are rejected, not wrapped (this one would wrap to
+  // seed 1 and replay a different run).
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = valid;
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  ASSERT_TRUE(Counterexample::FromJson(
+      with("\"seed\": 42", "\"seed\": 18446744073709551615"), &out, &error))
+      << error;
+  EXPECT_EQ(out.seed, UINT64_MAX);
+  EXPECT_FALSE(Counterexample::FromJson(
+      with("\"seed\": 42", "\"seed\": 18446744073709551617"), &out, &error));
+  EXPECT_FALSE(Counterexample::FromJson(
+      with("\"arg\": 7", "\"arg\": 18446744073709551616"), &out, &error));
+  EXPECT_FALSE(Counterexample::FromJson(
+      with("\"seed\": 42", "\"seed\": -1"), &out, &error));
 }
 
 TEST(McDecisionTest, CommutesOnlyForDeliveriesToDifferentNodes) {

@@ -749,6 +749,11 @@ TEST(TimelineTest, ParseRejectsMalformedDocuments) {
       "{\"schema\":\"scatter.timeline.v2\",\"period_us\":1,"
       "\"snapshots\":[]}",
       &parsed));
+  // An integer field outside int64 range is rejected, not cast.
+  EXPECT_FALSE(obs::TimelineRecorder::Parse(
+      "{\"schema\":\"scatter.timeline.v1\",\"period_us\":1,"
+      "\"snapshots\":[{\"ts_us\":1e300,\"groups\":[],\"nodes\":[]}]}",
+      &parsed));
   // Trailing garbage after a valid document is rejected.
   obs::MetricsRegistry reg;
   obs::TimelineRecorder rec(obs::TimelineConfig{}, &reg, nullptr);

@@ -1,10 +1,10 @@
 #include "tools/scatter_lint/lint.h"
 
 #include <algorithm>
-#include <cctype>
 #include <set>
 #include <unordered_map>
 
+#include "src/common/json.h"
 #include "tools/scatter_lint/tokenizer.h"
 
 namespace scatter::lint {
@@ -486,90 +486,36 @@ void RunCheckSideEffects(Engine& eng, const FileState& fs) {
 
 // --- Rule: layer-dag ---------------------------------------------------------
 
-// Minimal JSON reader for the {"layers": {"mod": ["dep", ...], ...}} shape.
-// Anything outside that shape is ignored (e.g. the "_comment" block).
-bool ParseLayers(const std::string& json,
-                 std::map<std::string, std::vector<std::string>>* out,
-                 std::string* error) {
-  const size_t layers_at = json.find("\"layers\"");
-  if (layers_at == std::string::npos) {
+// Reads the {"layers": {"mod": ["dep", ...], ...}} table; other top-level
+// members (e.g. the "_comment" block) are ignored.
+bool ReadLayers(const std::string& json,
+                std::map<std::string, std::vector<std::string>>* out,
+                std::string* error) {
+  JsonValue root;
+  if (!ParseJson(json, &root, error)) {
+    return false;
+  }
+  const JsonValue* layers = root.Find("layers");
+  if (layers == nullptr || layers->type != JsonValue::kObject) {
     *error = "no \"layers\" object";
     return false;
   }
-  size_t i = json.find('{', layers_at);
-  if (i == std::string::npos) {
-    *error = "\"layers\" is not an object";
-    return false;
-  }
-  ++i;
-  auto skip_ws = [&] {
-    while (i < json.size() &&
-           std::isspace(static_cast<unsigned char>(json[i])) != 0) {
-      ++i;
-    }
-  };
-  auto read_string = [&](std::string* s) -> bool {
-    skip_ws();
-    if (i >= json.size() || json[i] != '"') {
-      return false;
-    }
-    const size_t start = ++i;
-    while (i < json.size() && json[i] != '"') {
-      ++i;
-    }
-    if (i >= json.size()) {
-      return false;
-    }
-    *s = json.substr(start, i - start);
-    ++i;
-    return true;
-  };
-  while (true) {
-    skip_ws();
-    if (i < json.size() && json[i] == '}') {
-      return true;
-    }
-    std::string mod;
-    if (!read_string(&mod)) {
-      *error = "expected module name string";
-      return false;
-    }
-    skip_ws();
-    if (i >= json.size() || json[i] != ':') {
-      *error = "expected ':' after module name";
-      return false;
-    }
-    ++i;
-    skip_ws();
-    if (i >= json.size() || json[i] != '[') {
+  for (const auto& [mod, deps] : layers->object) {
+    if (deps.type != JsonValue::kArray) {
       *error = "expected dependency array for module " + mod;
       return false;
     }
-    ++i;
-    std::vector<std::string> deps;
-    while (true) {
-      skip_ws();
-      if (i < json.size() && json[i] == ']') {
-        ++i;
-        break;
-      }
-      std::string dep;
-      if (!read_string(&dep)) {
+    std::vector<std::string>& allowed = (*out)[mod];
+    allowed.clear();
+    for (const JsonValue& dep : deps.array) {
+      if (dep.type != JsonValue::kString) {
         *error = "expected dependency string in module " + mod;
         return false;
       }
-      deps.push_back(dep);
-      skip_ws();
-      if (i < json.size() && json[i] == ',') {
-        ++i;
-      }
-    }
-    (*out)[mod] = deps;
-    skip_ws();
-    if (i < json.size() && json[i] == ',') {
-      ++i;
+      allowed.push_back(dep.text);
     }
   }
+  return true;
 }
 
 // Kahn's algorithm; returns false and names one cycle participant on failure.
@@ -619,7 +565,7 @@ void RunLayerDag(Engine& eng) {
   }
   std::map<std::string, std::vector<std::string>> layers;
   std::string error;
-  if (!ParseLayers(eng.options.layers_json, &layers, &error)) {
+  if (!ReadLayers(eng.options.layers_json, &layers, &error)) {
     eng.Report("layer-dag", "scripts/layers.json", 1,
                "cannot parse layers config: " + error);
     return;

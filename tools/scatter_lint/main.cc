@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "tools/scatter_lint/lint.h"
 
 namespace fs = std::filesystem;
@@ -41,90 +42,41 @@ std::string RelativeTo(const fs::path& root, const fs::path& p) {
   return ec ? p.generic_string() : rel.generic_string();
 }
 
-// Pulls every "file" value out of compile_commands.json. The format is an
-// array of objects; we only need the string after each `"file":` key, which
-// a targeted scan recovers without a JSON library.
-std::vector<std::string> CompdbFiles(const std::string& json) {
-  std::vector<std::string> files;
-  size_t at = 0;
-  while ((at = json.find("\"file\"", at)) != std::string::npos) {
-    size_t i = json.find(':', at + 6);
-    if (i == std::string::npos) {
-      break;
-    }
-    i = json.find('"', i);
-    if (i == std::string::npos) {
-      break;
-    }
-    ++i;
-    std::string value;
-    while (i < json.size() && json[i] != '"') {
-      if (json[i] == '\\' && i + 1 < json.size()) {
-        ++i;  // compdb paths escape backslashes; we only run on POSIX
-      }
-      value.push_back(json[i]);
-      ++i;
-    }
-    files.push_back(value);
-    at = i;
-  }
-  return files;
-}
-
 bool HasSuffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 // Machine-readable findings for CI and tooling: one record per surviving
 // finding plus the per-rule summary, stable schema. The exit code is the
 // same as the human format's.
 void PrintJson(const scatter::lint::LintReport& report) {
-  std::cout << "{\"schema\":\"scatter.lint.v1\",\"files_scanned\":"
-            << report.files_scanned << ",\"findings\":[";
+  std::string out = "{\"schema\":\"scatter.lint.v1\",\"files_scanned\":" +
+                    std::to_string(report.files_scanned) + ",\"findings\":[";
   bool first = true;
   for (const scatter::lint::Finding& f : report.findings) {
-    if (!first) std::cout << ",";
+    if (!first) out += ",";
     first = false;
-    std::cout << "{\"file\":\"" << JsonEscape(f.file) << "\",\"line\":"
-              << f.line << ",\"rule\":\"" << JsonEscape(f.rule)
-              << "\",\"message\":\"" << JsonEscape(f.message) << "\"}";
+    out += "{\"file\":";
+    scatter::AppendJsonString(&out, f.file);
+    out += ",\"line\":" + std::to_string(f.line) + ",\"rule\":";
+    scatter::AppendJsonString(&out, f.rule);
+    out += ",\"message\":";
+    scatter::AppendJsonString(&out, f.message);
+    out += "}";
   }
-  std::cout << "],\"summary\":[";
+  out += "],\"summary\":[";
   first = true;
   for (const scatter::lint::SummaryRow& row :
        scatter::lint::SummaryRows(report)) {
-    if (!first) std::cout << ",";
+    if (!first) out += ",";
     first = false;
-    std::cout << "{\"rule\":\"" << JsonEscape(row.rule)
-              << "\",\"fired\":" << row.fired
-              << ",\"suppressed\":" << row.suppressed << "}";
+    out += "{\"rule\":";
+    scatter::AppendJsonString(&out, row.rule);
+    out += ",\"fired\":" + std::to_string(row.fired) +
+           ",\"suppressed\":" + std::to_string(row.suppressed) + "}";
   }
-  std::cout << "]}\n";
+  std::cout << out << "]}\n";
 }
 
 int Usage() {
@@ -206,9 +158,23 @@ int main(int argc, char** argv) {
       std::cerr << "scatter_lint: cannot read compdb " << compdb_arg << "\n";
       return 2;
     }
-    for (const std::string& file : CompdbFiles(compdb)) {
-      const fs::path p = fs::path(file).is_absolute() ? fs::path(file)
-                                                      : root / file;
+    // An array of objects; only each entry's "file" matters here.
+    scatter::JsonValue entries;
+    std::string error;
+    if (!scatter::ParseJson(compdb, &entries, &error) ||
+        entries.type != scatter::JsonValue::kArray) {
+      std::cerr << "scatter_lint: cannot parse compdb " << compdb_arg << ": "
+                << (error.empty() ? "not an array" : error) << "\n";
+      return 2;
+    }
+    for (const scatter::JsonValue& entry : entries.array) {
+      const scatter::JsonValue* file = entry.Find("file");
+      if (file == nullptr || file->type != scatter::JsonValue::kString) {
+        continue;
+      }
+      const fs::path p = fs::path(file->text).is_absolute()
+                             ? fs::path(file->text)
+                             : root / file->text;
       const std::string rel = RelativeTo(root, p);
       if (rel.rfind("..", 0) != 0) {  // inside the repo
         rel_paths.insert(rel);
