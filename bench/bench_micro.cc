@@ -387,22 +387,35 @@ void BM_WalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WalAppend)->Arg(64)->Arg(1024);
 
+class NullGroupListener : public membership::GroupListener {
+ public:
+  void OnGroupsFounded(GroupId,
+                       const std::vector<membership::FoundingGroup>&) override {}
+};
+
+membership::GroupState EmptyGroupState(GroupId id) {
+  membership::GroupState state;
+  state.id = id;
+  return state;
+}
+
 // Full crash-recovery replay: a group journal holding a checkpoint plus
 // Arg accepted-and-committed PutCommand entries is rebuilt from disk —
 // snapshot decode, WAL scan with per-record CRC verification, and command
 // decode for every entry. Items/sec is log entries replayed per second.
+
 void BM_RecoveryReplay(benchmark::State& state) {
   core::RegisterScatterWireCodecs();
   storage::SimDisk disk;
   obs::MetricsRegistry metrics;
   const GroupId group = 7;
   paxos::GroupJournal journal(&disk, &metrics, /*node=*/1, group);
-  auto snap = std::make_shared<membership::GroupSnapshot>();
-  snap->state.id = group;
+  NullGroupListener listener;
+  const membership::GroupStateMachine sm(&listener, EmptyGroupState(group));
   const std::vector<NodeId> config = {1, 2, 3};
   const Ballot ballot{1, 1};
   journal.WriteCheckpoint(/*last_included_index=*/0, Ballot{}, config,
-                          /*config_index=*/0, snap, ballot,
+                          /*config_index=*/0, sm, ballot,
                           /*commit_index=*/0, {});
   const uint64_t entries = static_cast<uint64_t>(state.range(0));
   for (uint64_t i = 1; i <= entries; ++i) {

@@ -57,7 +57,7 @@ uint64_t FingerprintCluster(core::Cluster& cluster) {
     for (const membership::GroupStateMachine* sm : groups) {
       wire::Buffer buf;
       buf.WriteU64(sm->id());
-      paxos::EncodeSnapshot(sm->TakeSnapshot(), buf);
+      sm->EncodeSnapshotTo(buf);
       const paxos::Replica* replica = node->GroupReplica(sm->id());
       if (replica != nullptr) {
         EncodeReplica(*replica, buf);

@@ -9,8 +9,12 @@
 #ifndef SCATTER_SRC_MEMBERSHIP_COMMANDS_H_
 #define SCATTER_SRC_MEMBERSHIP_COMMANDS_H_
 
+#include <algorithm>
+#include <array>
+#include <bitset>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/types.h"
@@ -21,6 +25,11 @@
 
 namespace scatter::membership {
 
+// Results further than this below max_seq are pruned; a straggler arriving
+// below the horizon is treated as an already-applied duplicate. Must exceed
+// any client's in-flight op budget.
+inline constexpr uint64_t kDedupWindow = 128;
+
 // Per-client exactly-once bookkeeping: outcomes of recently applied
 // sequence numbers, so retries return the original result instead of
 // re-executing. A bounded window of results (rather than just a high-water
@@ -30,21 +39,84 @@ namespace scatter::membership {
 // drop the stragglers while acknowledging them as applied. Shipped
 // alongside data whenever a key range changes owner, preserving
 // exactly-once across splits, merges and repartitions.
-struct DedupEntry {
-  uint64_t max_seq = 0;                 // highest sequence ever recorded
-  std::map<uint64_t, uint8_t> results;  // seq -> StatusCode, recent window
+//
+// The window (max_seq - kDedupWindow, max_seq] is a fixed ring: slot
+// seq % kDedupWindow holds the code of the one in-window seq that maps
+// there, and a presence bit says whether that seq was recorded. Raising
+// max_seq clears the slots of the seqs that leave the window, so recording
+// an op never allocates.
+class DedupEntry {
+ public:
+  uint64_t max_seq() const { return max_seq_; }
+
+  // True when `seq` lies at or below the horizon, where results are pruned.
+  bool BelowHorizon(uint64_t seq) const {
+    return max_seq_ >= kDedupWindow && seq <= max_seq_ - kDedupWindow;
+  }
+  bool InWindow(uint64_t seq) const {
+    return seq <= max_seq_ && !BelowHorizon(seq);
+  }
+
+  // The code recorded for `seq`, nullopt when none is (or it was pruned).
+  std::optional<uint8_t> Find(uint64_t seq) const {
+    if (!InWindow(seq) || !present_[seq % kDedupWindow]) {
+      return std::nullopt;
+    }
+    return codes_[seq % kDedupWindow];
+  }
+
+  // Raises max_seq to `seq` (no-op when not higher), dropping the results
+  // that fall below the new horizon.
+  void Advance(uint64_t seq) {
+    if (seq <= max_seq_) {
+      return;
+    }
+    if (seq - max_seq_ >= kDedupWindow) {
+      present_.reset();
+    } else {
+      for (uint64_t s = max_seq_ + 1; s <= seq; ++s) {
+        present_.reset(s % kDedupWindow);
+      }
+    }
+    max_seq_ = seq;
+  }
+
+  // Records `code` for `seq`, first advancing the window to cover it.
+  // `seq` must not be below the horizon.
+  void Record(uint64_t seq, uint8_t code) {
+    Advance(seq);
+    codes_[seq % kDedupWindow] = code;
+    present_.set(seq % kDedupWindow);
+  }
+
+  // Number of recorded results in the window.
+  size_t size() const { return present_.count(); }
+
+  // Calls fn(seq, code) for every recorded result, in ascending seq order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    const uint64_t span = std::min(max_seq_, kDedupWindow - 1);
+    for (uint64_t seq = max_seq_ - span;; ++seq) {
+      if (present_[seq % kDedupWindow]) {
+        fn(seq, codes_[seq % kDedupWindow]);
+      }
+      if (seq == max_seq_) {
+        break;
+      }
+    }
+  }
+
+ private:
+  uint64_t max_seq_ = 0;  // highest sequence ever recorded
+  std::array<uint8_t, kDedupWindow> codes_{};  // StatusCode per slot
+  std::bitset<kDedupWindow> present_;
 };
 using DedupTable = std::map<uint64_t, DedupEntry>;  // client id -> entry
-
-// Results further than this below max_seq are pruned; a straggler arriving
-// below the horizon is treated as an already-applied duplicate. Must exceed
-// any client's in-flight op budget.
-inline constexpr uint64_t kDedupWindow = 128;
 
 inline size_t DedupByteSize(const DedupTable& table) {
   size_t bytes = 0;
   for (const auto& [client, entry] : table) {
-    bytes += 24 + 16 * entry.results.size();
+    bytes += 24 + 16 * entry.size();
   }
   return bytes;
 }

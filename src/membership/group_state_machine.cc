@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/membership/wire_codecs.h"
 
 namespace scatter::membership {
 namespace {
@@ -62,17 +63,11 @@ bool GroupStateMachine::RecordClientOp(const paxos::AppCommand& cmd,
     return true;
   }
   DedupEntry& entry = state_.dedup[cmd.client_id];
-  const bool below_horizon = entry.max_seq >= kDedupWindow &&
-                             cmd.client_seq <= entry.max_seq - kDedupWindow;
-  if (below_horizon || entry.results.count(cmd.client_seq) != 0) {
+  if (entry.BelowHorizon(cmd.client_seq) ||
+      entry.Find(cmd.client_seq).has_value()) {
     return false;  // Retry of an already-applied op; keep the original.
   }
-  entry.results[cmd.client_seq] = static_cast<uint8_t>(code);
-  entry.max_seq = std::max(entry.max_seq, cmd.client_seq);
-  while (entry.max_seq >= kDedupWindow && !entry.results.empty() &&
-         entry.results.begin()->first <= entry.max_seq - kDedupWindow) {
-    entry.results.erase(entry.results.begin());
-  }
+  entry.Record(cmd.client_seq, static_cast<uint8_t>(code));
   return true;
 }
 
@@ -357,11 +352,10 @@ std::optional<StatusCode> GroupStateMachine::ResultFor(uint64_t client_id,
     return std::nullopt;
   }
   const DedupEntry& entry = it->second;
-  auto res = entry.results.find(seq);
-  if (res != entry.results.end()) {
-    return static_cast<StatusCode>(res->second);
+  if (const std::optional<uint8_t> code = entry.Find(seq)) {
+    return static_cast<StatusCode>(*code);
   }
-  if (entry.max_seq >= kDedupWindow && seq <= entry.max_seq - kDedupWindow) {
+  if (entry.BelowHorizon(seq)) {
     // Pruned below the window horizon: the original result is gone. Treat
     // as applied-OK (only a very stale duplicate delivery can land here).
     return StatusCode::kOk;
@@ -384,17 +378,16 @@ std::vector<NodeId> GroupStateMachine::CurrentMembers() const {
   return config_provider_();
 }
 
-void GroupStateMachine::MergeDedup(DedupTable& into, const DedupTable& from) {
+void MergeDedup(DedupTable& into, const DedupTable& from) {
   for (const auto& [client, entry] : from) {
     DedupEntry& dst = into[client];
-    dst.max_seq = std::max(dst.max_seq, entry.max_seq);
-    for (const auto& [seq, code] : entry.results) {
-      dst.results.emplace(seq, code);  // an op applies in exactly one group
-    }
-    while (dst.max_seq >= kDedupWindow && !dst.results.empty() &&
-           dst.results.begin()->first <= dst.max_seq - kDedupWindow) {
-      dst.results.erase(dst.results.begin());
-    }
+    dst.Advance(entry.max_seq());
+    entry.ForEach([&dst](uint64_t seq, uint8_t code) {
+      // An op applies in exactly one group; on a clash the target's wins.
+      if (dst.InWindow(seq) && !dst.Find(seq).has_value()) {
+        dst.Record(seq, code);
+      }
+    });
   }
 }
 
@@ -402,6 +395,10 @@ paxos::SnapshotPtr GroupStateMachine::TakeSnapshot() const {
   auto snap = std::make_shared<GroupSnapshot>();
   snap->state = state_;
   return snap;
+}
+
+void GroupStateMachine::EncodeSnapshotTo(wire::Buffer& out) const {
+  EncodeGroupState(state_, out);
 }
 
 void GroupStateMachine::Restore(const paxos::SnapshotData& snapshot) {

@@ -99,6 +99,11 @@ struct GroupSnapshot : paxos::SnapshotData {
   GroupState state;
 };
 
+// Folds a peer group's dedup table into `into` (merge and repartition
+// commits): per client the window slides up to the higher max_seq, and the
+// results of both sides that remain inside it are kept.
+void MergeDedup(DedupTable& into, const DedupTable& from);
+
 class GroupStateMachine : public paxos::StateMachine {
  public:
   GroupStateMachine(GroupListener* listener, GroupState initial);
@@ -114,6 +119,7 @@ class GroupStateMachine : public paxos::StateMachine {
   // paxos::StateMachine:
   void Apply(uint64_t index, const paxos::Command& command) override;
   paxos::SnapshotPtr TakeSnapshot() const override;
+  void EncodeSnapshotTo(wire::Buffer& out) const override;
   void Restore(const paxos::SnapshotData& snapshot) override;
 
   // --- Queries ------------------------------------------------------------
@@ -182,7 +188,6 @@ class GroupStateMachine : public paxos::StateMachine {
   bool RecordClientOp(const paxos::AppCommand& cmd, StatusCode code);
 
   std::vector<NodeId> CurrentMembers() const;
-  static void MergeDedup(DedupTable& into, const DedupTable& from);
 
   GroupListener* listener_;
   GroupState state_;

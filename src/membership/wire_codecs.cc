@@ -202,9 +202,7 @@ membership::ActiveTxn ReadActiveTxn(Reader& in) {
   return a;
 }
 
-void EncodeGroupSnapshot(const paxos::SnapshotData& snap, Buffer& out) {
-  const auto& state =
-      static_cast<const membership::GroupSnapshot&>(snap).state;
+void WriteGroupState(const membership::GroupState& state, Buffer& out) {
   out.WriteU64(state.id);
   WriteKeyRange(state.range, out);
   out.WriteU64(state.epoch);
@@ -223,6 +221,11 @@ void EncodeGroupSnapshot(const paxos::SnapshotData& snap, Buffer& out) {
   }
   out.WriteBool(state.retired);
   WriteGroupInfos(state.forward, out);
+}
+
+void EncodeGroupSnapshot(const paxos::SnapshotData& snap, Buffer& out) {
+  WriteGroupState(static_cast<const membership::GroupSnapshot&>(snap).state,
+                  out);
 }
 
 paxos::SnapshotPtr DecodeGroupSnapshot(Reader& in) {
@@ -275,6 +278,11 @@ void RegisterWireCodecs() {
     return true;
   }();
   (void)done;
+}
+
+void EncodeGroupState(const GroupState& state, wire::Buffer& out) {
+  out.WriteU16(kTagGroupSnapshot);
+  WriteGroupState(state, out);
 }
 
 }  // namespace scatter::membership

@@ -7,11 +7,21 @@
 #ifndef SCATTER_SRC_MEMBERSHIP_WIRE_CODECS_H_
 #define SCATTER_SRC_MEMBERSHIP_WIRE_CODECS_H_
 
+namespace scatter::wire {
+class Buffer;
+}  // namespace scatter::wire
+
 namespace scatter::membership {
+
+struct GroupState;
 
 // Idempotent; call before any serializing/auditing transport carries group
 // commands or snapshots.
 void RegisterWireCodecs();
+
+// Appends `state` as a tagged group snapshot: byte-identical to
+// paxos::EncodeSnapshot of a GroupSnapshot holding it, without the copy.
+void EncodeGroupState(const GroupState& state, wire::Buffer& out);
 
 }  // namespace scatter::membership
 

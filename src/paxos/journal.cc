@@ -25,12 +25,12 @@ Ballot ReadBallot(wire::Reader& in) {
 }
 
 // Checkpoint payload: base index + ballot, config (at its log index), the
-// promise and commit point at checkpoint time, then the state-machine
-// snapshot via the registered snapshot codec. Residual log entries above the
-// base stay in the rewritten WAL, not here.
+// promise and commit point at checkpoint time, then the state machine's
+// snapshot encoding of its live state. Residual log entries above the base
+// stay in the rewritten WAL, not here.
 void EncodeCheckpoint(uint64_t last_included_index, Ballot last_included_ballot,
                       const std::vector<NodeId>& config, uint64_t config_index,
-                      const SnapshotPtr& snapshot, Ballot promised,
+                      const StateMachine& sm, Ballot promised,
                       uint64_t commit_index, wire::Buffer& out) {
   out.WriteU64(last_included_index);
   WriteBallot(last_included_ballot, out);
@@ -41,7 +41,7 @@ void EncodeCheckpoint(uint64_t last_included_index, Ballot last_included_ballot,
   out.WriteU64(config_index);
   WriteBallot(promised, out);
   out.WriteU64(commit_index);
-  EncodeSnapshot(snapshot, out);
+  sm.EncodeSnapshotTo(out);
 }
 
 }  // namespace
@@ -150,32 +150,34 @@ void GroupJournal::WriteCheckpoint(uint64_t last_included_index,
                                    Ballot last_included_ballot,
                                    const std::vector<NodeId>& config,
                                    uint64_t config_index,
-                                   const SnapshotPtr& snapshot, Ballot promised,
+                                   const StateMachine& sm, Ballot promised,
                                    uint64_t commit_index,
                                    const std::vector<LogEntry>& suffix) {
   // Snapshot file first (atomic Replace). If we crash before the WAL
   // rewrite below, recovery sees the new snapshot plus the old WAL and
-  // skips stale records below the new base.
+  // skips stale records below the new base. Both files are framed in
+  // place in payload_, so the state is encoded once and never copied.
   payload_.clear();
+  size_t start = storage::BeginWalRecord(
+      static_cast<uint16_t>(JournalRecordType::kCheckpoint), &payload_);
   EncodeCheckpoint(last_included_index, last_included_ballot, config,
-                   config_index, snapshot, promised, commit_index, payload_);
-  storage::WriteSnapshotFile(
-      disk_, SnapFileName(group_),
-      static_cast<uint16_t>(JournalRecordType::kCheckpoint), payload_);
+                   config_index, sm, promised, commit_index, payload_);
+  storage::FinishWalRecord(start, &payload_);
+  storage::WriteSnapshotFile(disk_, SnapFileName(group_), payload_);
 
   // Rewrite the WAL down to the residual suffix. Promise and commit live in
   // the checkpoint itself; only entries above the base need re-framing.
-  wire::Buffer framed;
+  payload_.clear();
   for (const LogEntry& entry : suffix) {
     SCATTER_CHECK(entry.index > last_included_index);
-    payload_.clear();
+    start = storage::BeginWalRecord(
+        static_cast<uint16_t>(JournalRecordType::kAccept), &payload_);
     payload_.WriteU64(entry.index);
     WriteBallot(entry.ballot, payload_);
     EncodeCommand(entry.command, payload_);
-    storage::EncodeWalRecord(static_cast<uint16_t>(JournalRecordType::kAccept),
-                             payload_.data(), payload_.size(), &framed);
+    storage::FinishWalRecord(start, &payload_);
   }
-  wal_.Rewrite(framed);
+  wal_.Rewrite(payload_);
   unsynced_appends_ = 0;  // Replace is durable; prior appends superseded.
   ++checkpoints_;
 }

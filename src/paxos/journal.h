@@ -99,13 +99,13 @@ class GroupJournal {
   void Sync();
   bool dirty() const { return unsynced_appends_ > 0; }
 
-  // Atomically persists `snapshot` (state at last_included_index) and
-  // rewrites the WAL to promise/commit plus the residual `suffix`.
-  // Durable on return.
+  // Atomically persists the state of `sm` (applied through
+  // last_included_index), encoded in place, and rewrites the WAL to
+  // promise/commit plus the residual `suffix`. Durable on return.
   void WriteCheckpoint(uint64_t last_included_index,
                        Ballot last_included_ballot,
                        const std::vector<NodeId>& config,
-                       uint64_t config_index, const SnapshotPtr& snapshot,
+                       uint64_t config_index, const StateMachine& sm,
                        Ballot promised, uint64_t commit_index,
                        const std::vector<LogEntry>& suffix);
 
@@ -126,7 +126,7 @@ class GroupJournal {
   storage::Disk* disk_;
   GroupId group_;
   storage::Wal wal_;
-  wire::Buffer payload_;  // scratch reused across appends
+  wire::Buffer payload_;  // scratch reused across appends and checkpoints
   uint64_t unsynced_appends_ = 0;
 
   // wal.* observability cells (check_obs_json.py validates these).

@@ -109,6 +109,10 @@ void EncodeSnapshot(const SnapshotPtr& snap, wire::Buffer& out) {
   it->second.encode(*snap, out);
 }
 
+void StateMachine::EncodeSnapshotTo(wire::Buffer& out) const {
+  EncodeSnapshot(TakeSnapshot(), out);
+}
+
 SnapshotPtr DecodeSnapshot(wire::Reader& in) {
   const uint16_t tag = in.ReadU16();
   if (tag == 0) {

@@ -107,8 +107,8 @@ Replica::Replica(sim::Simulator* sim, ReplicaHost* host,
     if (journal_ != nullptr) {
       // First checkpoint: a founding group is recoverable from birth (the
       // state machine is at its index-0 initial state right now).
-      journal_->WriteCheckpoint(0, Ballot{}, config_, 0, sm_->TakeSnapshot(),
-                                promised_, 0, {});
+      journal_->WriteCheckpoint(0, Ballot{}, config_, 0, *sm_, promised_, 0,
+                                {});
     }
   }
   // Joiners stay passive (started_ == false) until a snapshot arrives.
@@ -772,7 +772,7 @@ void Replica::HandleSnapshot(const SnapshotMsg& m) {
     // (durable on return, so the ack below never outruns the disk). This is
     // also the moment a joiner becomes crash-recoverable.
     journal_->WriteCheckpoint(m.last_included_index, m.last_included_ballot,
-                              m.config, m.config_index, m.data, promised_,
+                              m.config, m.config_index, *sm_, promised_,
                               commit_index_, {});
   }
   SCATTER_DEBUG() << "g" << group_ << " n" << self_
@@ -1544,12 +1544,12 @@ void Replica::MaybeTruncateLog() {
   snap_base_ballot_ = base_ballot;
   if (journal_ != nullptr) {
     // Periodic durable checkpoint, piggybacked on in-memory truncation. The
-    // on-disk base is the applied index (what TakeSnapshot captures) —
+    // on-disk base is the applied index (the state encoded in place) —
     // tighter than the in-memory retention base — and the WAL shrinks to
     // the unapplied tail plus whatever accumulates afterwards.
     journal_->WriteCheckpoint(applied_index_, BallotAt(applied_index_),
                               applied_config(), applied_config_index_,
-                              sm_->TakeSnapshot(), promised_, commit_index_,
+                              *sm_, promised_, commit_index_,
                               log_.Suffix(applied_index_ + 1));
   }
 }

@@ -11,6 +11,7 @@
 
 #include "src/common/types.h"
 #include "src/paxos/command.h"
+#include "src/wire/buffer.h"
 
 namespace scatter::paxos {
 
@@ -36,6 +37,13 @@ class StateMachine {
 
   // Captures the full application state for transfer to a joining replica.
   virtual SnapshotPtr TakeSnapshot() const = 0;
+
+  // Appends the current state in snapshot encoding (the bytes
+  // EncodeSnapshot(TakeSnapshot(), out) writes) for checkpoints and
+  // fingerprints, which need the bytes but no copy. The default goes
+  // through TakeSnapshot; a state machine with a large state overrides it
+  // to encode in place.
+  virtual void EncodeSnapshotTo(wire::Buffer& out) const;
 
   // Replaces the application state with a snapshot previously produced by
   // TakeSnapshot on a peer.

@@ -25,13 +25,11 @@ uint16_t ReadLeU16(const uint8_t* p) {
 
 void EncodeWalRecord(uint16_t type, const uint8_t* payload, size_t size,
                      wire::Buffer* out) {
-  out->WriteU32(static_cast<uint32_t>(size));
-  const size_t crc_start = out->size();
-  out->WriteU16(kWalVersion);
-  out->WriteU16(type);
+  const size_t start = BeginWalRecord(type, out);
   out->WriteBytes(payload, size);
-  out->WriteU32(Crc32(out->data() + crc_start, out->size() - crc_start));
+  FinishWalRecord(start, out);
 }
+
 
 WalReadResult ReadWal(const Disk& disk, const std::string& file) {
   WalReadResult result;
@@ -74,11 +72,9 @@ void Wal::Append(uint16_t type, const wire::Buffer& payload) {
   appended_bytes_ += scratch_.size();
 }
 
-void WriteSnapshotFile(Disk* disk, const std::string& file, uint16_t type,
-                       const wire::Buffer& payload) {
-  wire::Buffer framed;
-  EncodeWalRecord(type, payload.data(), payload.size(), &framed);
-  disk->Replace(file, framed.data(), framed.size());
+void WriteSnapshotFile(Disk* disk, const std::string& file,
+                       const wire::Buffer& record) {
+  disk->Replace(file, record.data(), record.size());
 }
 
 bool ReadSnapshotFile(const Disk& disk, const std::string& file,

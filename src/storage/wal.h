@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/storage/crc32.h"
 #include "src/storage/disk.h"
 #include "src/wire/buffer.h"
 
@@ -53,6 +54,23 @@ struct WalReadResult {
 // Frames one record into `out` (append; `out` is not cleared).
 void EncodeWalRecord(uint16_t type, const uint8_t* payload, size_t size,
                      wire::Buffer* out);
+
+// The same framing for a payload written straight into `out`, with no
+// separate payload buffer to copy from: BeginWalRecord appends the header
+// and returns the record's offset; once the payload follows it,
+// FinishWalRecord patches the length and appends the CRC.
+inline size_t BeginWalRecord(uint16_t type, wire::Buffer* out) {
+  const size_t start = out->ReserveU32();
+  out->WriteU16(kWalVersion);
+  out->WriteU16(type);
+  return start;
+}
+
+inline void FinishWalRecord(size_t start, wire::Buffer* out) {
+  const size_t covered = start + 4;  // version + type + payload
+  out->PatchU32(start, static_cast<uint32_t>(out->size() - covered - 4));
+  out->WriteU32(Crc32(out->data() + covered, out->size() - covered));
+}
 
 // Scans every record of `file`. A missing file yields an empty, non-torn
 // result.
@@ -87,9 +105,10 @@ class Wal {
   uint64_t appended_bytes_ = 0;
 };
 
-// Snapshot files: one framed record, atomically replaced.
-void WriteSnapshotFile(Disk* disk, const std::string& file, uint16_t type,
-                       const wire::Buffer& payload);
+// Snapshot files: one framed record, atomically replaced. `record` holds
+// exactly one record, framed by EncodeWalRecord or Begin/FinishWalRecord.
+void WriteSnapshotFile(Disk* disk, const std::string& file,
+                       const wire::Buffer& record);
 // False when the file is missing or its CRC fails.
 bool ReadSnapshotFile(const Disk& disk, const std::string& file,
                       WalRecord* out);

@@ -10,19 +10,17 @@ namespace {
 size_t EntryBytes(const Value& value) { return 8 + value.size(); }
 }  // namespace
 
-void KvStore::InsertRaw(Key key, const Value& value) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
+void KvStore::InsertRaw(Key key, Value value) {
+  auto [it, inserted] = entries_.try_emplace(key);
+  if (!inserted) {
     bytes_ -= EntryBytes(it->second);
-    it->second = value;
-  } else {
-    entries_.emplace(key, value);
   }
   bytes_ += EntryBytes(value);
+  it->second = std::move(value);
 }
 
 void KvStore::Put(Key key, Value value) {
-  InsertRaw(key, value);
+  InsertRaw(key, std::move(value));
 }
 
 std::optional<Value> KvStore::Get(Key key) const {

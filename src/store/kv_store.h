@@ -69,7 +69,7 @@ class KvStore {
   template <typename Fn>
   void ForRange(const ring::KeyRange& range, Fn&& fn) const;
 
-  void InsertRaw(Key key, const Value& value);
+  void InsertRaw(Key key, Value value);
 
   std::map<Key, Value> entries_;
   size_t bytes_ = 0;

@@ -8,11 +8,13 @@
 // into a record prefix.
 
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/storage/crc32.h"
 #include "src/storage/fs_disk.h"
 #include "src/storage/sim_disk.h"
 #include "src/storage/wal.h"
@@ -50,6 +52,61 @@ std::vector<size_t> AppendTestRecords(Wal* wal) {
   }
   wal->Sync();
   return ends;
+}
+
+// Bytewise CRC-32 straight from the definition (reflected polynomial
+// 0xEDB88320, initial and final inversion): the reference the table-driven
+// Crc32 must agree with.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  const uint8_t zeros[32] = {};
+  EXPECT_EQ(Crc32(zeros, sizeof(zeros)), 0x190A55ADu);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(42);
+  std::vector<uint8_t> pool(1024 + 16);
+  for (uint8_t& b : pool) {
+    b = static_cast<uint8_t>(rng());
+  }
+  for (size_t len = 0; len <= 1024; len += (len < 64 ? 1 : 1 + rng() % 37)) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint8_t* p = pool.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "len " << len << " offset " << offset;
+      const uint32_t seed = static_cast<uint32_t>(rng());
+      ASSERT_EQ(Crc32(p, len, seed), ReferenceCrc32(p, len, seed))
+          << "len " << len << " offset " << offset << " seeded";
+    }
+  }
+}
+
+TEST(Crc32Test, ChainsAcrossSplitPoints) {
+  std::mt19937_64 rng(7);
+  std::vector<uint8_t> buf(300);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng());
+  }
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t cut = 0; cut <= buf.size(); ++cut) {
+    const uint32_t a = Crc32(buf.data(), cut);
+    EXPECT_EQ(Crc32(buf.data() + cut, buf.size() - cut, a), whole)
+        << "cut " << cut;
+  }
 }
 
 TEST(WalFramingTest, RoundTrip) {
@@ -198,7 +255,9 @@ TEST(SnapshotFileTest, RoundTripAndCorruptionDetected) {
   wire::Buffer payload;
   const uint8_t bytes[] = {4, 5, 6, 7, 8};
   payload.WriteBytes(bytes, sizeof(bytes));
-  WriteSnapshotFile(&disk, "t.snap", /*type=*/16, payload);
+  wire::Buffer framed;
+  EncodeWalRecord(/*type=*/16, payload.data(), payload.size(), &framed);
+  WriteSnapshotFile(&disk, "t.snap", framed);
 
   WalRecord record;
   ASSERT_TRUE(ReadSnapshotFile(disk, "t.snap", &record));
@@ -209,7 +268,9 @@ TEST(SnapshotFileTest, RoundTripAndCorruptionDetected) {
   wire::Buffer payload2;
   const uint8_t bytes2[] = {1};
   payload2.WriteBytes(bytes2, sizeof(bytes2));
-  WriteSnapshotFile(&disk, "t.snap", /*type=*/16, payload2);
+  framed.clear();
+  EncodeWalRecord(/*type=*/16, payload2.data(), payload2.size(), &framed);
+  WriteSnapshotFile(&disk, "t.snap", framed);
   ASSERT_TRUE(ReadSnapshotFile(disk, "t.snap", &record));
   EXPECT_EQ(record.payload, std::vector<uint8_t>(bytes2, bytes2 + 1));
 

@@ -6,6 +6,7 @@
 // instead of crashing. Samples are randomized so repeated rounds act as a
 // deterministic fuzzer.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -139,11 +140,17 @@ membership::DedupTable RandDedup(Rng& rng) {
   const size_t clients = rng() % 4;
   for (size_t i = 0; i < clients; ++i) {
     membership::DedupEntry& entry = table[rng() % 1000];
-    entry.max_seq = rng();
+    // Small max_seqs too, so windows that start at seq 0 are covered.
+    entry.Advance(rng() % 2 == 0 ? rng() : rng() % 200);
+    // Results only inside (max_seq - kDedupWindow, max_seq]: the decoder
+    // rejects anything a real table cannot hold.
+    const uint64_t span =
+        std::min<uint64_t>(entry.max_seq() + 1, membership::kDedupWindow);
     const size_t results = rng() % 4;
     for (size_t j = 0; j < results; ++j) {
       // Codes must be valid StatusCode values or decode rejects the frame.
-      entry.results[rng()] = static_cast<uint8_t>(rng() % 10);
+      entry.Record(entry.max_seq() - rng() % span,
+                   static_cast<uint8_t>(rng() % 10));
     }
   }
   return table;
