@@ -2,7 +2,7 @@
 //
 // Measures the building blocks whose cost bounds simulation scale and, for
 // the consensus path, the message/commit machinery itself:
-//   - simulator event throughput,
+//   - simulator event throughput, and timer resets against a full queue,
 //   - KV store operations and range extraction,
 //   - routing cache lookups,
 //   - Zipf sampling and histogram recording,
@@ -10,6 +10,10 @@
 //   - lease reads vs barrier reads on the same group,
 //   - the linearizability checker on sequential histories,
 //   - WAL framing + append throughput and crash-recovery replay.
+
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -47,6 +51,46 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+// The follower pattern: every step, one of a few hundred owners cancels and
+// re-arms its 250-500 ms election timer, while a steady population of short
+// events (message deliveries) keeps firing and rescheduling. Unlike the
+// one-entry queue above, this keeps several hundred events pending.
+void BM_SimulatorTimerReset(benchmark::State& state) {
+  constexpr size_t kOwners = 300;
+  constexpr int kShortEvents = 200;
+  sim::Simulator sim(1);
+  Rng rng(7);
+  std::vector<std::unique_ptr<sim::TimerOwner>> owners;
+  std::vector<sim::TimerId> timers(kOwners, sim::kInvalidTimer);
+  std::function<void(size_t)> arm = [&](size_t i) {
+    timers[i] = owners[i]->Schedule(
+        Millis(250) + static_cast<TimeMicros>(rng.Next() % 250000),
+        [&arm, i] { arm(i); });
+  };
+  for (size_t i = 0; i < kOwners; ++i) {
+    owners.push_back(std::make_unique<sim::TimerOwner>(&sim));
+    arm(i);
+  }
+  std::function<void()> deliver = [&] {
+    sim.Schedule(1 + static_cast<TimeMicros>(rng.Next() % 500),
+                 [&deliver] { deliver(); });
+  };
+  for (int i = 0; i < kShortEvents; ++i) {
+    deliver();
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    owners[next]->Cancel(timers[next]);
+    arm(next);
+    next = (next + 1) % kOwners;
+    sim.Step();
+  }
+  benchmark::DoNotOptimize(sim.events_processed());
+  state.counters["pending"] = static_cast<double>(sim.pending_events());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimulatorTimerReset);
 
 void BM_KvStorePut(benchmark::State& state) {
   store::KvStore store;

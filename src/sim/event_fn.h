@@ -19,9 +19,10 @@ namespace scatter::sim {
 
 class EventFn {
  public:
-  // Large enough for a capture of `this` plus a nested inline EventFn (the
-  // TimerOwner wrapper), so wrapping stays allocation-free.
-  static constexpr size_t kInlineSize = 88;
+  // Holds `this` plus a shared_ptr and a couple of words, which covers every
+  // callback on the benchmark workloads' hot paths (their allocation counts
+  // are the same at 48 and at 88 bytes); larger captures go to the heap.
+  static constexpr size_t kInlineSize = 48;
 
   EventFn() noexcept = default;
   EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)

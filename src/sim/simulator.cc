@@ -171,71 +171,138 @@ uint32_t Simulator::AcquireSlot() {
 void Simulator::ReleaseSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   s.gen++;
-  s.live = false;
+  s.owner = nullptr;
+  s.heap_pos = kNoSlot;
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
+void Simulator::Place(size_t pos, const HeapEntry& e) {
+  heap_[pos] = e;
+  slots_[e.slot].heap_pos = static_cast<uint32_t>(pos);
+}
+
+void Simulator::SiftUp(size_t pos, const HeapEntry e) {
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / kArity;
+    if (!Earlier(e, heap_[parent])) {
+      break;
+    }
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, e);
+}
+
+void Simulator::SiftDown(size_t pos, const HeapEntry e) {
+  const size_t n = heap_.size();
+  while (true) {
+    const size_t first = pos * kArity + 1;
+    if (first >= n) {
+      break;
+    }
+    const size_t last = std::min(first + kArity, n);
+    size_t best = first;
+    for (size_t c = first + 1; c < last; ++c) {
+      if (Earlier(heap_[c], heap_[best])) {
+        best = c;
+      }
+    }
+    if (!Earlier(heap_[best], e)) {
+      break;
+    }
+    Place(pos, heap_[best]);
+    pos = best;
+  }
+  Place(pos, e);
+}
+
+void Simulator::RemoveAt(size_t pos) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) {
+    return;  // removed the tail entry itself
+  }
+  if (pos > 0 && Earlier(last, heap_[(pos - 1) / kArity])) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
+}
+
 TimerId Simulator::Schedule(TimeMicros delay, EventFn fn) {
   SCATTER_CHECK(delay >= 0);
-  return ScheduleAt(now_ + delay, std::move(fn));
+  return ScheduleOwned(now_ + delay, std::move(fn), nullptr);
 }
 
 TimerId Simulator::ScheduleAt(TimeMicros when, EventFn fn) {
+  return ScheduleOwned(when, std::move(fn), nullptr);
+}
+
+TimerId Simulator::ScheduleOwned(TimeMicros when, EventFn&& fn,
+                                 const void* owner) {
   SCATTER_CHECK(when >= now_);
   const uint32_t slot = AcquireSlot();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  s.live = true;
-  queue_.push(Event{when, next_seq_++, slot, s.gen});
+  s.owner = owner;
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, HeapEntry{when, next_seq_++, slot});
   return EncodeId(slot, s.gen);
 }
 
-void Simulator::Cancel(TimerId id) {
-  if (id == kInvalidTimer) {
-    return;
-  }
+uint32_t Simulator::PendingSlot(TimerId id) const {
   const uint32_t slot = static_cast<uint32_t>(id & 0xffffffffu) - 1;
   const uint32_t gen = static_cast<uint32_t>(id >> 32);
-  if (slot >= slots_.size() || slots_[slot].gen != gen || !slots_[slot].live) {
-    return;  // already fired or cancelled
+  if (slot >= slots_.size() || slots_[slot].gen != gen ||
+      slots_[slot].heap_pos == kNoSlot) {
+    return kNoSlot;  // invalid, already fired or cancelled
   }
+  return slot;
+}
+
+void Simulator::CancelSlot(uint32_t slot) {
+  RemoveAt(slots_[slot].heap_pos);
   slots_[slot].fn.Reset();
   ReleaseSlot(slot);
-  stale_entries_++;  // its heap entry is still queued; Step/RunUntil skip it
+}
+
+void Simulator::Cancel(TimerId id) {
+  const uint32_t slot = PendingSlot(id);
+  if (slot != kNoSlot) {
+    CancelSlot(slot);
+  }
 }
 
 bool Simulator::Step() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    Slot& s = slots_[ev.slot];
-    if (s.gen != ev.gen) {
-      stale_entries_--;
-      continue;
-    }
-    // Move the callback out and recycle the slot *before* firing, so the
-    // callback can freely schedule new events (possibly reusing this slot
-    // under a fresh generation).
-    EventFn fn = std::move(s.fn);
-    s.fn.Reset();
-    ReleaseSlot(ev.slot);
-    SCATTER_CHECK(ev.at >= now_);
-    now_ = ev.at;
-    current_seq_ = ev.seq;
-    current_timer_ = EncodeId(ev.slot, ev.gen);
-    events_processed_++;
-    fn();
-    current_timer_ = kInvalidTimer;
-    // Periodic monitors run before the audit hook so an auditor that reads
-    // health state sees detections up to the current instant.
-    RunPeriodicTasks();
-    if (audit_hook_ && events_processed_ % audit_every_ == 0) {
-      audit_hook_();
-    }
-    return true;
+  if (heap_.empty()) {
+    return false;
   }
-  return false;
+  // RemoveAt(0), unrolled for the hottest path.
+  const HeapEntry ev = heap_[0];
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDown(0, last);
+  }
+  // Move the callback out and recycle the slot *before* firing, so the
+  // callback can freely schedule new events (possibly reusing this slot
+  // under a fresh generation).
+  Slot& s = slots_[ev.slot];
+  EventFn fn = std::move(s.fn);
+  ReleaseSlot(ev.slot);
+  SCATTER_CHECK(ev.at >= now_);
+  now_ = ev.at;
+  current_seq_ = ev.seq;
+  events_processed_++;
+  fn();
+  // Periodic monitors run before the audit hook so an auditor that reads
+  // health state sees detections up to the current instant.
+  RunPeriodicTasks();
+  if (audit_hook_ && events_processed_ % audit_every_ == 0) {
+    audit_hook_();
+  }
+  return true;
 }
 
 void Simulator::SetAuditHook(uint64_t every_n_events, AuditHook hook) {
@@ -274,16 +341,7 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(TimeMicros t) {
   SCATTER_CHECK(t >= now_);
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (slots_[top.slot].gen != top.gen) {
-      stale_entries_--;
-      queue_.pop();
-      continue;
-    }
-    if (top.at > t) {
-      break;
-    }
+  while (!heap_.empty() && heap_[0].at <= t) {
     Step();
   }
   now_ = t;
@@ -291,32 +349,32 @@ void Simulator::RunUntil(TimeMicros t) {
 }
 
 TimerId TimerOwner::Schedule(TimeMicros delay, EventFn fn) {
-  // The wrapper drops its own id from live_ when the event fires so live_
-  // only tracks genuinely pending events; current_timer() identifies the
-  // firing event without any per-timer shared state.
-  const TimerId id = sim_->Schedule(delay, [this, fn = std::move(fn)]() mutable {
-    live_.erase(sim_->current_timer());
-    fn();
-  });
-  live_.insert(id);
-  return id;
+  SCATTER_CHECK(delay >= 0);
+  return sim_->ScheduleOwned(sim_->now() + delay, std::move(fn), this);
 }
 
 void TimerOwner::Cancel(TimerId id) {
-  if (live_.erase(id) > 0) {
-    sim_->Cancel(id);
+  const uint32_t slot = sim_->PendingSlot(id);
+  if (slot != Simulator::kNoSlot && sim_->slots_[slot].owner == this) {
+    sim_->CancelSlot(slot);
   }
 }
 
 void TimerOwner::CancelAll() {
-  // Drain the unordered set into a sorted vector so cancellation order (and
-  // thus the simulator's cancelled-event bookkeeping) is hash-layout-free.
-  std::vector<TimerId> ids(live_.begin(), live_.end());
+  // Collect this owner's pending ids from the heap, then cancel them in id
+  // order so the slot free list (and thus every later id) does not depend
+  // on the heap's layout.
+  std::vector<TimerId> ids;
+  for (const Simulator::HeapEntry& e : sim_->heap_) {
+    const Simulator::Slot& s = sim_->slots_[e.slot];
+    if (s.owner == this) {
+      ids.push_back(Simulator::EncodeId(e.slot, s.gen));
+    }
+  }
   std::sort(ids.begin(), ids.end());
   for (TimerId id : ids) {
     sim_->Cancel(id);
   }
-  live_.clear();
 }
 
 }  // namespace scatter::sim

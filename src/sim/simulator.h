@@ -7,9 +7,12 @@
 //
 // Event storage is slot/generation based: callbacks live in a flat slot
 // vector recycled through a free list, and a TimerId encodes
-// (slot, generation) so cancellation is an O(1) array probe — no hash map
-// rendezvous or node allocation per event. Cancelled events are skipped
-// lazily when their heap entry surfaces (the generation no longer matches).
+// (slot, generation) so finding an event is an O(1) array probe — no hash
+// map rendezvous or node allocation per event. The queue is an indexed
+// 4-ary min-heap of (fire time, seq, slot) that holds only pending events:
+// each slot records its heap position, so Cancel removes the entry in
+// O(log n) instead of leaving a stale one behind. (fire time, seq) is a
+// strict total order, so the firing order never depends on the heap's shape.
 // Callbacks are move-only EventFns with inline storage, so the steady-state
 // schedule/fire cycle performs no heap allocation at all.
 
@@ -21,9 +24,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/random.h"
@@ -68,9 +69,9 @@ class Simulator {
   // Schedules fn at an absolute virtual time (>= now()).
   TimerId ScheduleAt(TimeMicros when, EventFn fn);
 
-  // Cancels a pending event. Harmless if the event already fired or was
-  // cancelled (ids are never reused: a recycled slot carries a fresh
-  // generation).
+  // Cancels a pending event and removes it from the queue. Harmless if the
+  // event already fired or was cancelled (ids are never reused: a recycled
+  // slot carries a fresh generation).
   void Cancel(TimerId id);
 
   // Runs the earliest pending event. Returns false when the queue is empty.
@@ -86,13 +87,8 @@ class Simulator {
   void RunFor(TimeMicros d) { RunUntil(now_ + d); }
 
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() const { return queue_.size() - stale_entries_; }
+  size_t pending_events() const { return heap_.size(); }
   uint64_t seed() const { return seed_; }
-
-  // Id of the event currently firing (kInvalidTimer outside a callback).
-  // Lets wrappers (TimerOwner) identify themselves without a per-event
-  // shared-state rendezvous.
-  TimerId current_timer() const { return current_timer_; }
 
   // --- Continuous auditing -------------------------------------------------
   // Installs `hook` to run after every `every_n_events` processed events,
@@ -173,38 +169,52 @@ class Simulator {
   void DisableTimeline();
 
  private:
-  static constexpr uint32_t kNoSlot = 0xffffffffu;
+  friend class TimerOwner;
 
-  struct Event {
+  static constexpr uint32_t kNoSlot = 0xffffffffu;
+  static constexpr size_t kArity = 4;
+
+  struct HeapEntry {
     TimeMicros at;
     uint64_t seq;
     uint32_t slot;
-    uint32_t gen;
-    // Ordered for a min-heap via std::greater.
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.at != b.at) {
-        return a.at > b.at;
-      }
-      return a.seq > b.seq;
-    }
   };
 
   struct Slot {
     EventFn fn;
-    uint32_t gen = 1;  // bumped on every release; stale heap entries mismatch
+    const void* owner = nullptr;  // the TimerOwner that scheduled it, if any
+    uint32_t gen = 1;             // bumped on every release
+    uint32_t heap_pos = kNoSlot;  // index into heap_ while pending
     uint32_t next_free = kNoSlot;
-    bool live = false;
   };
 
   static TimerId EncodeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(gen) << 32) |
            (static_cast<uint64_t>(slot) + 1);
   }
+  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  }
+
+  // The sink of every Schedule; takes fn by reference so the callback is
+  // relocated once, into its slot.
+  TimerId ScheduleOwned(TimeMicros when, EventFn&& fn, const void* owner);
+  // Slot of the pending event `id`, or kNoSlot if it fired or was cancelled.
+  uint32_t PendingSlot(TimerId id) const;
+  // Drops a pending event: its heap entry, its callback and its slot.
+  void CancelSlot(uint32_t slot);
 
   uint32_t AcquireSlot();
   // Bumps the generation and returns the slot to the free list. The slot's
   // callback must already be moved out or reset.
   void ReleaseSlot(uint32_t slot);
+
+  // Heap maintenance; every move keeps the slot's heap_pos in step. The
+  // sifts move `e` from the hole at `pos` until the heap order holds.
+  void Place(size_t pos, const HeapEntry& e);
+  void SiftUp(size_t pos, HeapEntry e);
+  void SiftDown(size_t pos, HeapEntry e);
+  void RemoveAt(size_t pos);
 
   TimeMicros now_ = 0;
   uint64_t seed_ = 0;
@@ -212,11 +222,9 @@ class Simulator {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t current_seq_ = 0;  // seq of the event currently firing
-  TimerId current_timer_ = kInvalidTimer;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  std::vector<HeapEntry> heap_;  // pending events only
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
-  size_t stale_entries_ = 0;  // heap entries whose event was cancelled
 
   struct PeriodicTask {
     uint64_t id = 0;
@@ -250,7 +258,8 @@ class Simulator {
 // RAII owner of timers: cancels everything it scheduled when destroyed.
 // Every object that captures `this` in timer callbacks must route them
 // through a TimerOwner member (declared last, so it is destroyed first),
-// which makes node crash = object destruction safe.
+// which makes node crash = object destruction safe. The simulator tags each
+// of the owner's slots with it, so the owner keeps no set of its own.
 class TimerOwner {
  public:
   explicit TimerOwner(Simulator* sim) : sim_(sim) {}
@@ -263,6 +272,7 @@ class TimerOwner {
   // owner is destroyed first.
   TimerId Schedule(TimeMicros delay, EventFn fn);
 
+  // Cancels `id` only if it is pending and was scheduled by this owner.
   void Cancel(TimerId id);
   void CancelAll();
 
@@ -270,7 +280,6 @@ class TimerOwner {
 
  private:
   Simulator* sim_;
-  std::unordered_set<TimerId> live_;
 };
 
 }  // namespace scatter::sim

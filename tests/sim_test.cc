@@ -1,6 +1,9 @@
 // Unit tests for the discrete-event simulator and network model.
 
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,7 +139,8 @@ TEST(SimulatorTest, LargeCallbacksSupported) {
   EXPECT_EQ(observed, 7);
 }
 
-// pending_events() must discount cancelled (stale) heap entries.
+// Cancel removes the event from the queue at once, so pending_events()
+// drops with every cancellation, not when the event's time comes.
 TEST(SimulatorTest, PendingEventsTracksCancellations) {
   Simulator sim(1);
   EXPECT_EQ(sim.pending_events(), 0u);
@@ -199,6 +203,90 @@ TEST(SimulatorTest, SlotReuseStress) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+// Differential test of the event queue: a randomized mix of Schedule,
+// ScheduleAt, Cancel, Step and RunUntil, including equal fire times,
+// ScheduleAt(now()), cancels from inside callbacks, cancels of the event that
+// is firing and cancels of ids whose slot was reused, checked against a
+// std::set ordered by (fire time, insertion order) after every operation.
+TEST(SimulatorTest, QueueMatchesOrderedSetOracle) {
+  Simulator sim(3);
+  std::set<std::pair<TimeMicros, uint64_t>> oracle;  // (at, schedule index)
+  std::vector<TimeMicros> at;
+  std::vector<TimerId> ids;
+  size_t fires = 0;
+  size_t misordered = 0;
+  uint64_t state = 0x2545f4914f6cdd1dull;
+  auto next = [&state]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  // Any id ever issued: pending, fired, cancelled or with a reused slot.
+  auto cancel_any = [&]() {
+    const uint64_t idx = next() % ids.size();
+    oracle.erase({at[idx], idx});
+    sim.Cancel(ids[idx]);
+  };
+  std::function<void()> schedule;
+  auto fire = [&](uint64_t idx) {
+    ++fires;
+    ASSERT_FALSE(oracle.empty());
+    if (oracle.begin()->second != idx) {
+      ++misordered;
+      ADD_FAILURE() << "fire " << fires << ": event " << idx
+                    << " fired, oracle expected " << oracle.begin()->second;
+    }
+    oracle.erase({at[idx], idx});
+    EXPECT_EQ(sim.now(), at[idx]);
+    const uint64_t r = next() % 8;
+    if (r == 0) {
+      sim.Cancel(ids[idx]);  // the firing event: already out of the queue
+    } else if (r == 1) {
+      cancel_any();
+    } else if (r == 2) {
+      schedule();
+      schedule();
+    }
+    EXPECT_EQ(sim.pending_events(), oracle.size());
+  };
+  schedule = [&]() {
+    const uint64_t idx = ids.size();
+    // Few distinct delays, so equal fire times are common; delay 0 is
+    // ScheduleAt(now()).
+    const TimeMicros when =
+        sim.now() + static_cast<TimeMicros>(next() % 6) * 5;
+    at.push_back(when);
+    oracle.insert({when, idx});
+    ids.push_back(next() % 2 == 0
+                      ? sim.ScheduleAt(when, [&fire, idx] { fire(idx); })
+                      : sim.Schedule(when - sim.now(),
+                                     [&fire, idx] { fire(idx); }));
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t r = next() % 20;
+    if (r < 9 || ids.empty()) {
+      schedule();
+    } else if (r < 13) {
+      cancel_any();
+    } else if (r < 19) {
+      const bool any_pending = !oracle.empty();
+      EXPECT_EQ(sim.Step(), any_pending);
+    } else {
+      const TimeMicros t = sim.now() + static_cast<TimeMicros>(next() % 40);
+      sim.RunUntil(t);
+      EXPECT_EQ(sim.now(), t);
+      EXPECT_TRUE(oracle.empty() || oracle.begin()->first > t);
+    }
+    ASSERT_EQ(misordered, 0u) << "at op " << op;
+    ASSERT_EQ(sim.pending_events(), oracle.size()) << "at op " << op;
+  }
+  sim.Run();
+  EXPECT_EQ(misordered, 0u);
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 TEST(TimerOwnerTest, DestructionCancelsPending) {
   Simulator sim(1);
   bool fired = false;
@@ -220,6 +308,90 @@ TEST(TimerOwnerTest, FiredTimersLeaveTheSet) {
   sim.Run();
   EXPECT_EQ(fires, 5);
   owner.CancelAll();  // Nothing pending; must not crash.
+}
+
+TEST(TimerOwnerTest, CancelOfForeignIdIsNoOp) {
+  Simulator sim(1);
+  TimerOwner a(&sim);
+  TimerOwner b(&sim);
+  int fires = 0;
+  const TimerId owned = a.Schedule(Millis(1), [&] { fires++; });
+  const TimerId raw = sim.Schedule(Millis(2), [&] { fires += 10; });
+  b.Cancel(owned);  // a's timer
+  a.Cancel(raw);    // nobody's timer
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.Run();
+  EXPECT_EQ(fires, 11);
+}
+
+TEST(TimerOwnerTest, CallbackMayDestroyItsOwner) {
+  Simulator sim(1);
+  auto owner = std::make_unique<TimerOwner>(&sim);
+  int fires = 0;
+  owner->Schedule(Millis(1), [&] {
+    fires++;
+    owner.reset();  // cancels the sibling below
+  });
+  owner->Schedule(Millis(1), [&] { fires += 10; });
+  owner->Schedule(Millis(2), [&] { fires += 100; });
+  sim.Run();
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(TimerOwnerTest, CallbackMayCancelSibling) {
+  Simulator sim(1);
+  TimerOwner owner(&sim);
+  int fires = 0;
+  TimerId sibling = kInvalidTimer;
+  owner.Schedule(Millis(1), [&] {
+    fires++;
+    owner.Cancel(sibling);
+  });
+  sibling = owner.Schedule(Millis(1), [&] { fires += 10; });
+  owner.Schedule(Millis(2), [&] { fires += 100; });
+  sim.Run();
+  EXPECT_EQ(fires, 101);
+}
+
+TEST(TimerOwnerTest, CancelAllSparesOtherOwners) {
+  Simulator sim(1);
+  TimerOwner a(&sim);
+  TimerOwner b(&sim);
+  int a_fires = 0;
+  int b_fires = 0;
+  for (int i = 0; i < 4; ++i) {
+    a.Schedule(Millis(i + 1), [&] { a_fires++; });
+    b.Schedule(Millis(i + 1), [&] { b_fires++; });
+  }
+  a.CancelAll();
+  EXPECT_EQ(sim.pending_events(), 4u);
+  sim.Run();
+  EXPECT_EQ(a_fires, 0);
+  EXPECT_EQ(b_fires, 4);
+}
+
+// Ids of a destroyed owner point at recycled slots; cancelling them through
+// the simulator must not touch the slots' new occupants.
+TEST(TimerOwnerTest, DeadOwnersIdsAreHarmless) {
+  Simulator sim(1);
+  std::vector<TimerId> dead;
+  {
+    TimerOwner owner(&sim);
+    for (int i = 0; i < 3; ++i) {
+      dead.push_back(owner.Schedule(Millis(1), [] {}));
+    }
+  }
+  int fires = 0;
+  for (int i = 0; i < 3; ++i) {
+    sim.Schedule(Millis(1), [&] { fires++; });
+  }
+  for (TimerId id : dead) {
+    sim.Cancel(id);
+  }
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.Run();
+  EXPECT_EQ(fires, 3);
 }
 
 struct TestMsg : Message {
