@@ -79,22 +79,6 @@ double SlidingWindow::EwmaPerSec(int64_t now_us) const {
   return ewma * 1e6 / static_cast<double>(params_.bucket_width_us);
 }
 
-void SlidingWindow::Merge(const SlidingWindow& other) {
-  assert(params_ == other.params_);
-  for (const Bucket& ob : other.ring_) {
-    if (ob.epoch < 0) continue;
-    Bucket& mine = ring_[static_cast<size_t>(ob.epoch % static_cast<int64_t>(ring_.size()))];
-    if (mine.epoch == ob.epoch) {
-      mine.sum += ob.sum;
-    } else if (ob.epoch > mine.epoch) {
-      mine = ob;
-    }
-  }
-  total_ += other.total_;
-  ewma_ += other.ewma_;
-  last_epoch_ = std::max(last_epoch_, other.last_epoch_);
-}
-
 std::string SlidingWindow::ToJson() const {
   std::string out;
   out.reserve(128 + ring_.size() * 32);

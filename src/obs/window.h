@@ -2,11 +2,7 @@
 //
 // A SlidingWindow is a ring of fixed-width time buckets plus an EWMA of the
 // per-bucket totals. Bucket boundaries are multiples of bucket_width_us in
-// ABSOLUTE simulated time (epoch k covers [k*width, (k+1)*width)), so two
-// windows fed on different nodes of the same simulation bucket identical
-// samples identically — which is what makes MetricsRegistry::Merge sum
-// per-node windows into a correct cluster-wide window instead of smearing
-// misaligned buckets together.
+// ABSOLUTE simulated time (epoch k covers [k*width, (k+1)*width)).
 //
 // Recording is O(1) and allocation-free (epoch index math plus one add);
 // queries walk the fixed-size ring. No wall clock anywhere: callers pass
@@ -35,8 +31,6 @@ class SlidingWindow {
     // Smoothing for the per-bucket EWMA (weight of the newest closed
     // bucket).
     double ewma_alpha = 0.3;
-
-    friend bool operator==(const Params& a, const Params& b) = default;
   };
 
   SlidingWindow() : SlidingWindow(Params{}) {}
@@ -62,12 +56,6 @@ class SlidingWindow {
   uint64_t total() const { return total_; }
 
   const Params& params() const { return params_; }
-
-  // Epoch-aligned merge: buckets with equal epochs sum; a newer bucket from
-  // `other` replaces an older one in the same ring slot. Both windows must
-  // share identical Params. EWMAs add (the merged window represents the
-  // combined stream's rate).
-  void Merge(const SlidingWindow& other);
 
   // Stable-schema JSON:
   //   {"bucket_width_us":W,"num_buckets":N,"total":T,"ewma":E,

@@ -11,6 +11,21 @@ namespace scatter::storage {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+// A failed open or write is a CHECK failure, never silently dropped bytes.
+void WriteOrDie(const std::string& path, std::ios::openmode mode,
+                const uint8_t* data, size_t size) {
+  std::ofstream out(path, std::ios::binary | mode);
+  SCATTER_CHECK(out.is_open());
+  out.write(reinterpret_cast<const char*>(data),
+            static_cast<std::streamsize>(size));
+  out.close();
+  SCATTER_CHECK(!out.fail());
+}
+
+}  // namespace
+
 FsDisk::FsDisk(std::string root) : root_(std::move(root)) {
   std::error_code ec;
   fs::create_directories(root_, ec);
@@ -23,28 +38,19 @@ std::string FsDisk::Path(const std::string& file) const {
 
 void FsDisk::Append(const std::string& file, const uint8_t* data,
                     size_t size) {
-  MutexLock lock(&mu_);
-  std::ofstream out(Path(file), std::ios::binary | std::ios::app);
-  out.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
+  WriteOrDie(Path(file), std::ios::app, data, size);
 }
 
 void FsDisk::Replace(const std::string& file, const uint8_t* data,
                      size_t size) {
-  MutexLock lock(&mu_);
-  const std::string tmp =
-      Path(file) + "." + std::to_string(replace_seq_locked_++) + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(data),
-              static_cast<std::streamsize>(size));
-  }
+  const std::string tmp = Path(file) + ".tmp";
+  WriteOrDie(tmp, std::ios::trunc, data, size);
   std::error_code ec;
   fs::rename(tmp, Path(file), ec);
+  SCATTER_CHECK(!ec);
 }
 
 bool FsDisk::Read(const std::string& file, std::vector<uint8_t>* out) const {
-  MutexLock lock(&mu_);
   std::ifstream in(Path(file), std::ios::binary);
   if (!in.is_open()) {
     return false;
@@ -55,19 +61,16 @@ bool FsDisk::Read(const std::string& file, std::vector<uint8_t>* out) const {
 }
 
 bool FsDisk::Exists(const std::string& file) const {
-  MutexLock lock(&mu_);
   std::error_code ec;
   return fs::exists(Path(file), ec);
 }
 
 void FsDisk::Remove(const std::string& file) {
-  MutexLock lock(&mu_);
   std::error_code ec;
   fs::remove(Path(file), ec);
 }
 
 std::vector<std::string> FsDisk::List() const {
-  MutexLock lock(&mu_);
   std::vector<std::string> out;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root_, ec)) {

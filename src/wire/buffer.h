@@ -18,9 +18,6 @@
 // malformed read flips a sticky failure flag instead of crashing: decoders
 // run to completion on garbage input and the frame decoder rejects the
 // message afterwards, which is what the fuzz tests rely on.
-//
-// Thread-compat: thread-compatible. Neither class has shared state; each
-// buffer and cursor has one owner at a time.
 
 #ifndef SCATTER_SRC_WIRE_BUFFER_H_
 #define SCATTER_SRC_WIRE_BUFFER_H_

@@ -1,9 +1,10 @@
 // Tests for scatter-lint (tools/scatter_lint): each rule fires on a bad
 // fixture, stays quiet on the fixed idiom, and the suppression comment
-// absorbs exactly one finding. The final test is a mutation self-check: it
-// reintroduces an unordered-iteration bug into the real fingerprint source
-// and asserts the tool reports it — proving the CI gate actually guards the
-// invariant it claims to.
+// absorbs exactly one finding. The mutation self-checks reintroduce a bug
+// into a real source file (an unordered iteration into the fingerprint, a
+// raw Schedule capturing `this` into the replica) and assert the tool
+// reports it — proving the CI gate actually guards the invariant it claims
+// to.
 //
 // Fixture sources are assembled from fragments ("LINT" "-ALLOW") so that
 // scatter-lint, which also scans this file, does not parse the fixtures'
@@ -491,177 +492,6 @@ TEST(MutationSelfCheck, LintCatchesUnorderedIterationInFingerprint) {
       << "scatter-lint failed to catch a hash-order-dependent fingerprint";
 }
 
-
-// --- blocking-in-handler -----------------------------------------------------
-
-TEST(BlockingInHandler, FiresOnSleepFsyncFsDiskAndUnboundedLoop) {
-  const LintReport report =
-      Lint({{"src/core/bad.cc",
-             "void Node::HandlePing(const PingMsg& m) {\n"
-             "  std::this_thread::sleep_for(std::chrono::seconds(1));\n"
-             "  fsync(fd_);\n"
-             "  storage::FsDisk disk(\"/tmp/x\");\n"
-             "  while (true) {\n"
-             "    Poll();\n"
-             "  }\n"
-             "}\n"}});
-  EXPECT_EQ(CountRule(report, "blocking-in-handler"), 4);
-}
-
-TEST(BlockingInHandler, QuietOnBoundedLoopsAndNonHandlers) {
-  const LintReport report =
-      Lint({{"src/core/ok.cc",
-             // Bounded loops and early exits are fine inside a handler.
-             "void Node::HandlePing(const PingMsg& m) {\n"
-             "  for (int i = 0; i < 3; ++i) Poll();\n"
-             "  while (true) {\n"
-             "    if (Done()) break;\n"
-             "  }\n"
-             "}\n"
-             // Blocking work outside a Handle* body is another rule's
-             // business (durability-io), not this one's.
-             "void Node::FlushLoop() {\n"
-             "  fsync(fd_);\n"
-             "}\n"}});
-  EXPECT_EQ(CountRule(report, "blocking-in-handler"), 0);
-}
-
-TEST(BlockingInHandler, QuietInStorageAndOutsideSrc) {
-  const std::string body =
-      "void Journal::HandleFlush() {\n"
-      "  fsync(fd_);\n"
-      "}\n";
-  const LintReport report = Lint(
-      {{"src/storage/journal.cc", body}, {"tests/fake_test.cc", body}});
-  EXPECT_EQ(CountRule(report, "blocking-in-handler"), 0);
-}
-
-TEST(BlockingInHandler, AllowAbsorbsJustifiedBlockingCall) {
-  const std::string src =
-      std::string("void Node::HandleSync(const M& m) {\n  // ") +
-      kAllowMarker +
-      "(blocking-in-handler): bootstrap path, loop not running yet.\n"
-      "  fsync(fd_);\n"
-      "}\n";
-  const LintReport report = Lint({{"src/core/boot.cc", src}});
-  EXPECT_EQ(CountRule(report, "blocking-in-handler"), 0);
-  EXPECT_EQ(CountRule(report, "unused-suppression"), 0);
-}
-
-// --- raw-sync-primitive ------------------------------------------------------
-
-TEST(RawSyncPrimitive, FiresOnStdPrimitivesOutsideCommon) {
-  const LintReport report =
-      Lint({{"src/paxos/bad.cc",
-             "std::mutex mu;\n"
-             "std::thread worker;\n"
-             "std::condition_variable cv;\n"
-             "void F() { std::lock_guard<std::mutex> l(mu); }\n"}});
-  // mutex, thread, condition_variable, lock_guard, and the nested
-  // std::mutex template argument.
-  EXPECT_EQ(CountRule(report, "raw-sync-primitive"), 5);
-}
-
-TEST(RawSyncPrimitive, QuietInCommonNetAndTests) {
-  const std::string body = "std::mutex mu;\nstd::thread t;\n";
-  const LintReport report = Lint({{"src/common/thread_annotations.h", body},
-                                  {"src/net/event_loop.cc", body},
-                                  {"tests/concurrency_test.cc", body}});
-  EXPECT_EQ(CountRule(report, "raw-sync-primitive"), 0);
-}
-
-TEST(RawSyncPrimitive, QuietOnWrappersAndLookalikeNames) {
-  const LintReport report =
-      Lint({{"src/paxos/ok.cc",
-             "scatter::Mutex mu_;\n"
-             "void F() { MutexLock lock(&mu_); }\n"
-             "int thread = 0;  // a field named thread is not std::thread\n"
-             "void G(P* p) { p->mutex(); }\n"}});
-  EXPECT_EQ(CountRule(report, "raw-sync-primitive"), 0);
-}
-
-// --- guarded-field-hygiene ---------------------------------------------------
-
-TEST(GuardedFieldHygiene, FiresOnLockedFieldWithoutAnnotation) {
-  const LintReport report =
-      Lint({{"src/obs/bad.h",
-             "class R {\n"
-             "  Mutex mu_;\n"
-             "  int count_locked_ = 0;\n"
-             "};\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 1);
-}
-
-TEST(GuardedFieldHygiene, FiresOnAnnotatedFieldWithoutLockedName) {
-  const LintReport report =
-      Lint({{"src/obs/bad.h",
-             "class R {\n"
-             "  Mutex mu_;\n"
-             "  int count SCATTER_GUARDED_BY(mu_) = 0;\n"
-             "};\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 1);
-}
-
-TEST(GuardedFieldHygiene, FiresOnAccessWithoutLockOrRequires) {
-  const LintReport report =
-      Lint({{"src/obs/bad.cc",
-             "void R::Bump() {\n"
-             "  count_locked_++;\n"
-             "}\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 1);
-}
-
-TEST(GuardedFieldHygiene, QuietWithMutexLockInScope) {
-  const LintReport report =
-      Lint({{"src/obs/ok.cc",
-             "void R::Bump() {\n"
-             "  MutexLock lock(&mu_);\n"
-             "  count_locked_++;\n"
-             "}\n"
-             "int R::Get() const {\n"
-             "  MutexLock lock(&mu_);\n"
-             "  return count_locked_;\n"
-             "}\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 0);
-}
-
-TEST(GuardedFieldHygiene, QuietWithRepeatedRequiresOnDefinition) {
-  const LintReport report =
-      Lint({{"src/obs/ok.cc",
-             "int R::GetLocked() SCATTER_REQUIRES(mu_) {\n"
-             "  return count_locked_;\n"
-             "}\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 0);
-}
-
-TEST(GuardedFieldHygiene, RequiresOnDeclarationDoesNotLeakToNextBody) {
-  const LintReport report =
-      Lint({{"src/obs/bad.h",
-             "class R {\n"
-             "  int GetLocked() SCATTER_REQUIRES(mu_);\n"
-             "  int Get() { return count_locked_; }\n"
-             "};\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 1);
-}
-
-TEST(GuardedFieldHygiene, QuietOnAnnotatedDeclAndInitList) {
-  const LintReport report =
-      Lint({{"src/obs/ok.h",
-             "class R {\n"
-             "  R() : classes_locked_(4) {}\n"
-             "  Mutex mu_;\n"
-             "  std::vector<int> classes_locked_ SCATTER_GUARDED_BY(mu_);\n"
-             "};\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 0);
-}
-
-TEST(GuardedFieldHygiene, OutOfScopeInTestsAndTools) {
-  const std::string body = "void F() { count_locked_++; }\n";
-  const LintReport report =
-      Lint({{"tests/x_test.cc", body}, {"tools/y/z.cc", body}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 0);
-}
-
 // --- callback-capture-lifetime -----------------------------------------------
 
 TEST(CallbackCaptureLifetime, FiresOnRawScheduleCapturingThis) {
@@ -728,35 +558,35 @@ TEST(SummaryRowsOrder, SortedByRuleNameAndCoversCatalogue) {
   EXPECT_EQ(ambient, 1);
 }
 
-// --- mutation self-check: guarded-field-hygiene ------------------------------
+// --- mutation self-check: callback-capture-lifetime --------------------------
 
-// De-annotate one real guarded field in the metrics registry and assert the
-// hygiene rule catches it: the *_locked_ naming convention and the
-// SCATTER_GUARDED_BY annotation must never drift apart silently.
-TEST(MutationSelfCheck, LintCatchesDeAnnotatedGuardedField) {
+// Post the replica's election timer through the raw simulator instead of its
+// TimerOwner and assert the rule catches it: a raw Schedule capturing `this`
+// fires into a destroyed replica after a crash-restart.
+TEST(MutationSelfCheck, LintCatchesRawScheduleCapturingThisInReplica) {
   const std::string path =
-      std::string(SCATTER_SOURCE_DIR) + "/src/obs/metrics.h";
+      std::string(SCATTER_SOURCE_DIR) + "/src/paxos/replica.cc";
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << path;
   std::ostringstream ss;
   ss << in.rdbuf();
   std::string content = ss.str();
 
-  // The real header is clean.
-  const LintReport before = Lint({{"src/obs/metrics.h", content}});
-  EXPECT_EQ(CountRule(before, "guarded-field-hygiene"), 0);
+  // The real file is clean.
+  const LintReport before = Lint({{"src/paxos/replica.cc", content}});
+  EXPECT_EQ(CountRule(before, "callback-capture-lifetime"), 0);
 
-  // Mutation: strip the annotation from one *_locked_ field declaration.
-  const std::string annotated = "counters_locked_ SCATTER_GUARDED_BY(mu_);";
-  const size_t at = content.find(annotated);
+  // Mutation: bypass the owner token for the election timer.
+  const std::string owned = "election_timer_ = timers_.Schedule(delay, [this]";
+  const size_t at = content.find(owned);
   ASSERT_NE(at, std::string::npos)
-      << "metrics.h no longer declares counters_locked_ as guarded — "
-         "update this mutation test";
-  content.replace(at, annotated.size(), "counters_locked_;");
+      << "replica.cc no longer arms the election timer this way — update "
+         "this mutation test";
+  content.replace(at, owned.size(), "sim_->Schedule(delay, [this]");
 
-  const LintReport after = Lint({{"src/obs/metrics.h", content}});
-  EXPECT_EQ(CountRule(after, "guarded-field-hygiene"), 1)
-      << "scatter-lint failed to catch a de-annotated guarded field";
+  const LintReport after = Lint({{"src/paxos/replica.cc", content}});
+  EXPECT_EQ(CountRule(after, "callback-capture-lifetime"), 1)
+      << "scatter-lint failed to catch a raw Schedule capturing this";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,23 +128,50 @@ TEST(MetricsRegistryTest, CellsAreStableAndKeyed) {
   EXPECT_EQ(reg.counter_cells(), 2u);
 }
 
-TEST(MetricsRegistryTest, MergeSumsCells) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.GetCounter("x", 1) += 2;
-  b.GetCounter("x", 1) += 3;
-  b.GetCounter("only_in_b", 9)++;
-  a.GetGauge("g", 1).Add(10);
-  b.GetGauge("g", 1).Add(-4);
-  a.GetHistogram("h", 1).Record(100);
-  b.GetHistogram("h", 1).Record(300);
+TEST(MetricsRegistryTest, ForEachVisitsInPlaceAndToleratesOtherNames) {
+  // The health monitor and the timeline read other cells from inside their
+  // visitors; ForEach* walks the ordered index in place, so those reads and
+  // the creation of cells under OTHER names must not disturb the walk.
+  obs::MetricsRegistry reg;
+  reg.GetCounter("c", 2, 1) += 21;
+  reg.GetCounter("c", 1, 2) += 12;
+  reg.GetCounter("c", 1, 1) += 11;
+  reg.GetCounter("d", 1, 1) += 5;
+  reg.GetWindow("w", 3, 1).Record(0, 31);
+  reg.GetWindow("w", 1, 4).Record(0, 14);
 
-  a.Merge(b);
-  EXPECT_EQ(static_cast<uint64_t>(a.GetCounter("x", 1)), 5u);
-  EXPECT_EQ(static_cast<uint64_t>(a.GetCounter("only_in_b", 9)), 1u);
-  EXPECT_EQ(static_cast<int64_t>(a.GetGauge("g", 1)), 6);
-  EXPECT_EQ(a.GetHistogram("h", 1).count(), 2u);
-  EXPECT_EQ(a.GetHistogram("h", 1).max(), 300);
+  std::vector<std::tuple<NodeId, GroupId, uint64_t>> visited;
+  reg.ForEachCounter("c", [&](NodeId node, GroupId group, const Counter& c) {
+    const Counter* d = reg.FindCounter("d", node, group);
+    EXPECT_EQ(d != nullptr, node == 1 && group == 1);
+    // Names sorting before, between and after "c" all land outside its
+    // range of the index.
+    reg.GetCounter("b", node, group)++;
+    reg.GetCounter("cc", node, group)++;
+    reg.GetGauge("c", node, group).Set(1);
+    reg.GetWindow("c", node, group).Record(0);
+    visited.emplace_back(node, group, static_cast<uint64_t>(c));
+  });
+  EXPECT_EQ(visited, (std::vector<std::tuple<NodeId, GroupId, uint64_t>>{
+                         {1, 1, 11}, {1, 2, 12}, {2, 1, 21}}));
+  EXPECT_EQ(reg.counter_cells(), 10u);  // c x3, d, then b and cc x3 each
+
+  std::vector<std::tuple<NodeId, GroupId, uint64_t>> windows;
+  reg.ForEachWindow("w", [&](NodeId node, GroupId group,
+                             const obs::SlidingWindow& w) {
+    reg.GetWindow("v", node, group);
+    reg.GetWindow("x", node, group);
+    windows.emplace_back(node, group, w.total());
+  });
+  EXPECT_EQ(windows, (std::vector<std::tuple<NodeId, GroupId, uint64_t>>{
+                         {1, 4, 14}, {3, 1, 31}}));
+
+  // The visited set is what it was: a second walk sees the same cells.
+  std::vector<std::tuple<NodeId, GroupId, uint64_t>> again;
+  reg.ForEachCounter("c", [&](NodeId node, GroupId group, const Counter& c) {
+    again.emplace_back(node, group, static_cast<uint64_t>(c));
+  });
+  EXPECT_EQ(again, visited);
 }
 
 TEST(MetricsRegistryTest, ToJsonIsStableSchemaAndDeterministic) {
@@ -475,32 +503,9 @@ TEST(SlidingWindowTest, StaleTimestampsClampToCurrentBucket) {
   obs::SlidingWindow w;
   w.Record(500'000);
   // A timestamp older than the newest bucket folds into it rather than
-  // resurrecting a closed epoch (monotonicity guard for merged sources).
+  // resurrecting a closed epoch (monotonicity guard).
   w.Record(100'000, 3);
   EXPECT_EQ(w.TotalInWindow(500'000), 4u);
-}
-
-TEST(SlidingWindowTest, MergeAlignsOnAbsoluteEpochs) {
-  // Two nodes record against their own windows at the same simulated
-  // times; the merge must line buckets up by absolute epoch, not by array
-  // position, so per-bucket sums land in the right interval.
-  obs::SlidingWindow a;
-  obs::SlidingWindow b;
-  a.Record(100'000, 2);
-  a.Record(300'000, 2);
-  b.Record(300'000, 5);
-  b.Record(400'000, 1);
-  a.Merge(b);
-  EXPECT_EQ(a.TotalInWindow(400'000), 10u);
-  EXPECT_EQ(a.total(), 10u);
-
-  // Merge is insensitive to which side advanced further in time.
-  obs::SlidingWindow c;
-  obs::SlidingWindow d;
-  c.Record(400'000, 1);
-  d.Record(100'000, 7);
-  c.Merge(d);
-  EXPECT_EQ(c.TotalInWindow(400'000), 8u);
 }
 
 TEST(SlidingWindowTest, ToJsonShape) {
@@ -610,28 +615,6 @@ TEST(MetricsRegistryTest, ServedGroupExportsExactlyTheReadWindows) {
       "paxos.window.commits", "store.window.bytes", "store.window.ops"};
   EXPECT_EQ(served_names, read_windows);
   EXPECT_EQ(all_names, read_windows);
-}
-
-TEST(MetricsRegistryTest, MergeSumsWindowCellsAcrossNodes) {
-  // Per-node registries record into the same absolute timeline; the merged
-  // registry must see epoch-aligned sums regardless of merge order.
-  obs::MetricsRegistry node_a;
-  obs::MetricsRegistry node_b;
-  node_a.GetWindow("w", 1).Record(100'000, 2);
-  node_b.GetWindow("w", 2).Record(100'000, 3);
-  node_b.GetWindow("w", 1).Record(300'000, 4);
-
-  obs::MetricsRegistry ab;
-  ab.Merge(node_a);
-  ab.Merge(node_b);
-  obs::MetricsRegistry ba;
-  ba.Merge(node_b);
-  ba.Merge(node_a);
-
-  EXPECT_EQ(ab.GetWindow("w", 1).TotalInWindow(300'000), 6u);
-  EXPECT_EQ(ab.GetWindow("w", 2).TotalInWindow(300'000), 3u);
-  // Merge determinism: opposite order produces byte-identical export.
-  EXPECT_EQ(ab.ToJson(), ba.ToJson());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 // into a record prefix.
 
 #include <cstdint>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -318,6 +319,29 @@ TEST(FsDiskTest, RoundTripThroughARealDirectory) {
   reopened.Remove("s.snap");
   EXPECT_FALSE(disk.Exists("w.wal"));
   EXPECT_TRUE(disk.List().empty());
+}
+
+// A failed write or rename dies on a CHECK instead of dropping the bytes.
+// Directories stand in for unwritable names: permissions do not stop root.
+TEST(FsDiskDeathTest, ReplaceOntoNonEmptyDirectoryDies) {
+  const std::string root =
+      ::testing::TempDir() + "/scatter_fsdisk_death_replace";
+  FsDisk disk(root);
+  std::filesystem::create_directories(root + "/s.snap/child");
+  const uint8_t a[] = {1, 2, 3};
+  EXPECT_DEATH(disk.Replace("s.snap", a, sizeof(a)), "CHECK failed: !ec");
+  std::filesystem::remove_all(root);
+}
+
+TEST(FsDiskDeathTest, AppendToDirectoryDies) {
+  const std::string root =
+      ::testing::TempDir() + "/scatter_fsdisk_death_append";
+  FsDisk disk(root);
+  std::filesystem::create_directories(root + "/w.wal");
+  const uint8_t a[] = {1, 2, 3};
+  EXPECT_DEATH(disk.Append("w.wal", a, sizeof(a)),
+               "CHECK failed: out.is_open\\(\\)");
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace
